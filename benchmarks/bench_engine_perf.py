@@ -112,7 +112,8 @@ def test_speedup_vs_seed_baseline(benchmark, name):
 
 @pytest.mark.benchmark(group="E21-engine-perf", min_rounds=3)
 def test_streaming_matches_trace_throughput(benchmark):
-    """Streaming mode: same numbers, O(nodes) memory; time the fold."""
+    """Streaming mode: the trace run's numbers in O(nodes) memory; time
+    the run plus fold, then check it against a trace run of the spec."""
     params = SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY)
     topology = line(16)
 
@@ -127,6 +128,14 @@ def test_streaming_matches_trace_throughput(benchmark):
     result = benchmark(run)
     assert result.events_processed > 1000
     assert result.global_skew.value > 0
+    trace = build_and_run(
+        topology, params, TwoGroupDrift(EPSILON, list(range(8))),
+        ConstantDelay(DELAY), 150.0,
+    )
+    assert result.events_processed == trace.events_processed
+    assert result.global_skew == trace.global_skew()
+    assert result.local_skew == trace.local_skew()
+    assert result.final_spread == trace.spread_at(trace.horizon)
     benchmark.extra_info["events"] = result.events_processed
 
 

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation
-from repro.sim.trace import SkewExtremum
+from repro.sim import trace as _trace
+from repro.sim.trace import LogicalClockRecord, SkewExtremum
 
 __all__ = [
     "Violation",
@@ -39,6 +41,12 @@ NodeId = Hashable
 
 #: Absolute numerical slack for invariant comparisons.
 TOLERANCE = 1e-7
+
+#: Evaluation cells (nodes × instants) one streaming flush may hold.
+FLUSH_CELLS = 16384
+
+#: Window size from which a streaming flush evaluates through numpy.
+VECTOR_MIN_INSTANTS = 64
 
 
 @dataclass(frozen=True)
@@ -153,15 +161,28 @@ class StreamingSkewTracker:
     evaluating a convex-kinked difference at extra points could surface
     a float-rounding extremum the trace path never sees.
 
-    Memory is O(nodes + edges): with ``prune=True`` the tracker also
-    discards consumed clock-record segments as its fold frontier
-    advances, so a full run needs bounded memory regardless of length.
+    *Collect, then flush.*  :meth:`advance` pops every instant before
+    the event frontier off the heap — an instant is final once popped —
+    into a pending window with the nodes that own it.  A full window
+    (:attr:`window_instants` instants, ``max(1, 16384 // nodes)``) and
+    the horizon endpoint in :meth:`finalize` are *flushed*: one
+    right-value and one left-limit column per record over the window's
+    instants, through the numpy kernel trace mode uses
+    (``_vector_values``) from :data:`VECTOR_MIN_INSTANTS` instants on,
+    else in pure Python (the ``values_at`` / ``values_left_at`` sweeps,
+    or ``value`` / ``value_left`` for a one-instant window), then the
+    same ordered fold as above.  Deferring evaluation
+    is exact: every later checkpoint lands at or after the event
+    frontier, past every pending instant, so the segments a pending
+    instant reads never change.
 
-    Optional ``global_bound`` / ``local_bound`` arm first-violation
-    detection: the earliest evaluation instant at which the folded
-    spread (resp. an edge skew) strictly exceeds the bound is kept in
-    :attr:`first_global_violation` / :attr:`first_local_violation`,
-    giving certificates their margin witness without a trace.
+    Memory is O(nodes + edges + 16,384 cells): with ``prune=True`` each
+    flush also discards the record segments its owners no longer need,
+    so a full run needs bounded memory regardless of length.
+
+    With ``timed=True`` each flush adds its wall time to
+    :attr:`fold_seconds` (one ``perf_counter`` pair per flush, none per
+    event); the engine reports it as the ``skew-fold`` phase.
     """
 
     def __init__(
@@ -170,27 +191,23 @@ class StreamingSkewTracker:
         edges: Sequence[Tuple[NodeId, NodeId]],
         horizon: float,
         prune: bool = False,
-        global_bound: Optional[float] = None,
-        local_bound: Optional[float] = None,
+        timed: bool = False,
     ):
         self.horizon = float(horizon)
         self.nodes: List[NodeId] = list(nodes)
         self.edges: List[Tuple[NodeId, NodeId]] = [tuple(e) for e in edges]
-        self.global_bound = global_bound
-        self.local_bound = local_bound
-        #: ``(time, spread)`` of the first fold instant exceeding
-        #: ``global_bound``; ``None`` while within bounds.
-        self.first_global_violation: Optional[Tuple[float, float]] = None
-        #: ``(time, skew, edge)`` of the first fold instant exceeding
-        #: ``local_bound``.
-        self.first_local_violation: Optional[Tuple[float, float, Tuple[NodeId, NodeId]]] = None
         #: Spread at the horizon (right values); set by :meth:`finalize`.
         self.final_spread = 0.0
+        #: Wall seconds spent in flushes (``timed=True`` only).
+        self.fold_seconds = 0.0
 
         self._prune = prune
+        self._timed = timed
         n = len(self.nodes)
+        #: Instants a pending window holds before it is flushed.
+        self.window_instants = max(1, FLUSH_CELLS // max(n, 1))
         index = {node: i for i, node in enumerate(self.nodes)}
-        self._records: List[Optional[object]] = [None] * n
+        self._records: List[Optional[LogicalClockRecord]] = [None] * n
         self._hw_streams: List[Optional[Iterator[float]]] = [None] * n
         self._last_noted: List[Optional[float]] = [None] * n
         self._last_consumed: List[Optional[float]] = [None] * n
@@ -205,7 +222,6 @@ class StreamingSkewTracker:
         m = len(self.edges)
         self._edge_best_v = [-1.0] * m
         self._edge_best_t = [0.0] * m
-        self._edge_last_fold: List[Optional[float]] = [None] * m
         self._best_value = -1.0
         self._best_time = 0.0
         self._best_hi: Optional[int] = None
@@ -214,6 +230,11 @@ class StreamingSkewTracker:
         # The sentinel index −1 forces the t=0 endpoint evaluation that
         # the trace path always performs.
         self._heap: List[Tuple[float, int, bool]] = [(0.0, -1, False)]
+        # The pending window: ascending final instants, each with the
+        # nodes whose breakpoint it is and whether it folds every edge.
+        self._window_ts: List[float] = []
+        self._window_owners: List[List[int]] = []
+        self._window_all_edges: List[bool] = []
         self._finalized = False
 
     # -- engine feed ---------------------------------------------------------
@@ -236,7 +257,7 @@ class StreamingSkewTracker:
         heappush(self._heap, (t, idx, False))
 
     def advance(self, now: float) -> None:
-        """Fold every pending instant strictly before ``now``.
+        """Collect every pending instant strictly before ``now``.
 
         Safe because events pop in nondecreasing time order: no future
         event can add a checkpoint earlier than the current event time,
@@ -244,7 +265,7 @@ class StreamingSkewTracker:
         """
         heap = self._heap
         while heap and heap[0][0] < now:
-            self._fold_next()
+            self._collect_next()
 
     def finalize(self) -> None:
         """Fold everything up to and including the horizon endpoint."""
@@ -254,7 +275,7 @@ class StreamingSkewTracker:
         horizon = self.horizon
         heap = self._heap
         while heap and heap[0][0] < horizon:
-            self._fold_next()
+            self._collect_next()
         # Checkpoints exactly at the horizon still count as that node's
         # breakpoints, but the instant itself is evaluated once below as
         # the interval endpoint (with every edge, like the trace path).
@@ -263,14 +284,17 @@ class StreamingSkewTracker:
             if idx >= 0 and self._last_consumed[idx] != t:
                 self._last_consumed[idx] = t
                 self._bp_counts[idx] += 1
-        self._fold_at(horizon, (), all_edges=True)
+        self._window_ts.append(horizon)
+        self._window_owners.append([])
+        self._window_all_edges.append(True)
+        self._flush()
         records = self._records
         values = [0.0 if rec is None else rec.value(horizon) for rec in records]
         self.final_spread = max(values) - min(values)
 
-    # -- folding -------------------------------------------------------------
+    # -- collecting ----------------------------------------------------------
 
-    def _fold_next(self) -> None:
+    def _collect_next(self) -> None:
         heap = self._heap
         t = heap[0][0]
         owners: List[int] = []
@@ -288,58 +312,151 @@ class StreamingSkewTracker:
                     nxt = next(self._hw_streams[idx], None)
                     if nxt is not None:
                         heappush(heap, (nxt, idx, True))
-        self._fold_at(t, owners, all_edges)
+        self._window_ts.append(t)
+        self._window_owners.append(owners)
+        self._window_all_edges.append(all_edges)
+        if len(self._window_ts) >= self.window_instants:
+            self._flush()
 
-    def _fold_at(self, t: float, owners: Sequence[int], all_edges: bool) -> None:
-        records = self._records
-        bound = self.global_bound
-        for left in (False, True):
-            if left:
-                values = [0.0 if rec is None else rec.value_left(t) for rec in records]
+    # -- flushing ------------------------------------------------------------
+
+    def _flush(self) -> None:
+        """Evaluate the pending window and fold it; then empty it."""
+        ts = self._window_ts
+        started = perf_counter() if self._timed else 0.0
+        # (edge, instant) pairs in fold order: ascending instants; at
+        # each, every edge or the owners' incident edges, each once.
+        pair_edges: List[int] = []
+        pair_instants: List[int] = []
+        incident = self._incident
+        all_edge_ids = range(len(self.edges))
+        for k, (owners, all_edges) in enumerate(
+            zip(self._window_owners, self._window_all_edges)
+        ):
+            if all_edges:
+                edge_ids: Iterable[int] = all_edge_ids
+            elif len(owners) == 1:
+                edge_ids = incident[owners[0]]
             else:
-                values = [0.0 if rec is None else rec.value(t) for rec in records]
-            hi = max(range(len(values)), key=values.__getitem__)
-            lo = min(range(len(values)), key=values.__getitem__)
-            spread = values[hi] - values[lo]
-            if spread > self._best_value:
-                self._best_value, self._best_time = spread, t
-                self._best_hi, self._best_lo = hi, lo
-            if bound is not None and self.first_global_violation is None and spread > bound:
-                self.first_global_violation = (t, spread)
-        if all_edges:
-            edge_ids: Iterator[int] = iter(range(len(self.edges)))
+                edge_ids = dict.fromkeys(e for idx in owners for e in incident[idx])
+            for e in edge_ids:
+                pair_edges.append(e)
+                pair_instants.append(k)
+        np = _trace._np
+        if np is not None and len(ts) >= VECTOR_MIN_INSTANTS:
+            self._fold_vector(np, ts, pair_edges, pair_instants)
         else:
-            edge_ids = (e for idx in owners for e in self._incident[idx])
-        local_bound = self.local_bound
-        edge_last_fold = self._edge_last_fold
-        edge_best_v = self._edge_best_v
-        for e in edge_ids:
-            if edge_last_fold[e] == t:
-                continue
-            edge_last_fold[e] = t
-            ia, ib = self._edge_idx[e]
-            rec_a, rec_b = records[ia], records[ib]
-            for left in (False, True):
-                if left:
-                    va = 0.0 if rec_a is None else rec_a.value_left(t)
-                    vb = 0.0 if rec_b is None else rec_b.value_left(t)
-                else:
-                    va = 0.0 if rec_a is None else rec_a.value(t)
-                    vb = 0.0 if rec_b is None else rec_b.value(t)
-                magnitude = abs(va - vb)
-                if magnitude > edge_best_v[e]:
-                    edge_best_v[e], self._edge_best_t[e] = magnitude, t
-                if (
-                    local_bound is not None
-                    and self.first_local_violation is None
-                    and magnitude > local_bound
-                ):
-                    self.first_local_violation = (t, magnitude, self.edges[e])
+            self._fold_scalar(ts, pair_edges, pair_instants)
         if self._prune:
-            for idx in owners:
-                record = records[idx]
-                if record is not None:
-                    record.prune_to(t)
+            last = ts[-1]
+            records = self._records
+            for owners in self._window_owners:
+                for idx in owners:
+                    records[idx].prune_to(last)
+        self._window_ts = []
+        self._window_owners = []
+        self._window_all_edges = []
+        if self._timed:
+            self.fold_seconds += perf_counter() - started
+
+    def _fold_vector(
+        self, np, ts: List[float], pair_edges: List[int], pair_instants: List[int]
+    ) -> None:
+        """The window fold over numpy columns (bit-identical to scalar).
+
+        Column max/min select floats without rounding, and argmax and
+        the slot-ordered lexsort keep the first of equal maxima, so the
+        winners are those of the strict ``>`` scan over the same ordered
+        sequence that :meth:`_fold_scalar` runs.
+        """
+        times = np.asarray(ts)
+        n_inst = len(ts)
+        rights = np.zeros((len(self._records), n_inst))
+        lefts = np.zeros((len(self._records), n_inst))
+        for row, record in enumerate(self._records):
+            if record is not None:
+                rights[row], lefts[row] = _trace._vector_values(record, times)
+        spreads = np.empty(2 * n_inst)
+        spreads[0::2] = rights.max(axis=0) - rights.min(axis=0)
+        spreads[1::2] = lefts.max(axis=0) - lefts.min(axis=0)
+        k = int(spreads.argmax())
+        if spreads[k] > self._best_value:
+            column = (rights if k % 2 == 0 else lefts)[:, k >> 1]
+            self._best_value = float(spreads[k])
+            self._best_time = ts[k >> 1]
+            self._best_hi = int(column.argmax())
+            self._best_lo = int(column.argmin())
+        if not pair_edges:
+            return
+        instants = np.asarray(pair_instants)
+        ends = np.asarray(self._edge_idx)[pair_edges]
+        a, b = ends[:, 0], ends[:, 1]
+        # Slot 2p is pair p's right-value skew, slot 2p+1 its left limit.
+        magnitudes = np.empty(2 * len(pair_edges))
+        magnitudes[0::2] = np.abs(rights[a, instants] - rights[b, instants])
+        magnitudes[1::2] = np.abs(lefts[a, instants] - lefts[b, instants])
+        slot_edges = np.repeat(np.asarray(pair_edges), 2)
+        # Sorted by edge, then largest magnitude, then earliest slot: the
+        # head of each edge's group is the winner of its strict > scan.
+        order = np.lexsort((np.arange(len(slot_edges)), -magnitudes, slot_edges))
+        heads = order[np.flatnonzero(np.diff(slot_edges[order], prepend=-1))]
+        edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
+        for e, value, slot in zip(
+            slot_edges[heads].tolist(), magnitudes[heads].tolist(), heads.tolist()
+        ):
+            if value > edge_best_v[e]:
+                edge_best_v[e] = value
+                edge_best_t[e] = ts[pair_instants[slot >> 1]]
+
+    def _fold_scalar(
+        self, ts: List[float], pair_edges: List[int], pair_instants: List[int]
+    ) -> None:
+        """The window fold over pure-Python column sweeps."""
+        n_inst = len(ts)
+        records = self._records
+        # Flat row-major columns: record r's value at ts[k] sits at
+        # r * n_inst + k, so a one-instant window is a plain value list.
+        if n_inst == 1:
+            # Networks above 8,192 nodes flush every instant alone; the
+            # scalar methods give the sweeps' floats without their
+            # per-call list set-up, which would dominate here.
+            t = ts[0]
+            rights = [0.0 if rec is None else rec.value(t) for rec in records]
+            lefts = [0.0 if rec is None else rec.value_left(t) for rec in records]
+        else:
+            rights = []
+            lefts = []
+            zeros = [0.0] * n_inst
+            for record in records:
+                if record is None:
+                    rights += zeros
+                    lefts += zeros
+                    continue
+                hw_values = record.hardware.values_at(ts)
+                rights += record.values_at(ts, _hw_values=hw_values)
+                lefts += record.values_left_at(ts, _hw_values=hw_values)
+        best_value = self._best_value
+        for k in range(n_inst):
+            for flat in (rights, lefts):
+                values = flat[k::n_inst]
+                top = max(values)
+                bottom = min(values)
+                spread = top - bottom
+                if spread > best_value:
+                    best_value = spread
+                    self._best_time = ts[k]
+                    self._best_hi = values.index(top)
+                    self._best_lo = values.index(bottom)
+        self._best_value = best_value
+        edge_idx = self._edge_idx
+        edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
+        for e, k in zip(pair_edges, pair_instants):
+            ia, ib = edge_idx[e]
+            ia, ib = ia * n_inst + k, ib * n_inst + k
+            for flat in (rights, lefts):
+                magnitude = abs(flat[ia] - flat[ib])
+                if magnitude > edge_best_v[e]:
+                    edge_best_v[e], edge_best_t[e] = magnitude, ts[k]
 
     # -- results -------------------------------------------------------------
 

@@ -347,8 +347,8 @@ def _vector_eligible(records: Iterable[LogicalClockRecord], n_points: int) -> bo
     """Whether the numpy evaluation path applies (never changes results).
 
     Requires numpy, enough points to amortize array setup, and unpruned
-    records (the scalar sweeps raise :class:`TraceError` for queries in a
-    pruned prefix; the vectorized masks would silently return 0.0).
+    records; a pruned record (only streaming runs prune) takes the
+    scalar sweeps here.
     """
     if _np is None or n_points < _VECTOR_MIN_POINTS:
         return False
@@ -364,7 +364,20 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     ``searchsorted(side='right') - 1`` is exactly ``bisect_right - 1``
     (with ``side='left'`` matching the left limit's step-back at exact
     checkpoint hits).  No reductions, so no reordered rounding.
+
+    A pruned record is answered wherever both one-sided limits are: a
+    point in ``[start, kept prefix]`` raises :class:`TraceError`, as the
+    scalar methods do, instead of being masked to a wrong 0.0.
     """
+    start = record._start
+    first = record._times[0]
+    if first != start:
+        k = int(_np.searchsorted(ts, start, side="left"))
+        if k < len(ts) and ts[k] <= first:
+            raise TraceError(
+                f"time {float(ts[k])} falls in the pruned prefix of this "
+                f"clock record (kept from {first})"
+            )
     hardware = record._hardware
     rate = hardware._rate
     rate_times = _np.asarray(rate._times)
@@ -383,10 +396,10 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     anchors = _np.asarray(record._anchor_hws)
     i = _np.searchsorted(times, ts, side="right") - 1
     right = values[i] + multipliers[i] * (hw_values - anchors[i])
-    right[ts < times[0]] = 0.0
+    right[ts < start] = 0.0
     i = _np.searchsorted(times, ts, side="left") - 1
     left = values[i] + multipliers[i] * (hw_values - anchors[i])
-    left[ts <= times[0]] = 0.0
+    left[ts <= start] = 0.0
     return right, left
 
 

@@ -14,6 +14,11 @@ Equality is exact (``==`` on floats, never ``pytest.approx``): both paths
 must evaluate the same point set in the same order with the same
 arithmetic, which is the engine-parity contract (docs/ENGINE.md).
 
+The fold runs in flushed windows of pending instants; the window size
+and the numpy/pure-Python switch are patched per test so that one-instant
+windows, small pure-Python windows, numpy windows over pruned records and
+numpy-free installs each meet the same oracle.
+
 The dedup regression from PR 3 — a logical checkpoint landing exactly on
 a hardware rate breakpoint is ONE linearity breakpoint, not two — gets a
 deterministic case plus property coverage (checkpoint times are drawn
@@ -22,13 +27,22 @@ from a grid that overlaps the drift breakpoint grid).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.node import AoptAlgorithm
+from repro.core.params import SyncParams
+from repro.errors import TraceError
+from repro.exec.spec import ExecutionSpec
+from repro.sim import monitors as monitors_mod
+from repro.sim import trace as trace_mod
 from repro.sim.clock import HardwareClock
+from repro.sim.delays import ConstantDelay
+from repro.sim.drift import TwoGroupDrift
 from repro.sim.monitors import StreamingSkewTracker
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.trace import ExecutionTrace, LogicalClockRecord
@@ -190,77 +204,6 @@ class TestFoldEqualsTraceEvaluation:
         assert pruned.final_spread == unpruned.final_spread
 
 
-class TestFirstViolation:
-    def _global_oracle(self, trace, bound):
-        """Replicate the fold order: ascending union points, right values
-        then left values, first instant with spread strictly above bound."""
-        points = {0.0, HORIZON}
-        for rec in trace.logical.values():
-            points.update(rec.breakpoints_in(0.0, HORIZON))
-        nodes = list(trace.logical)
-        for t in sorted(points):
-            for left in (False, True):
-                values = [
-                    trace.logical[n].value_left(t) if left
-                    else trace.logical[n].value(t)
-                    for n in nodes
-                ]
-                spread = max(values) - min(values)
-                if spread > bound:
-                    return (t, spread)
-        return None
-
-    @given(seed=st.integers(0, 10_000), fraction=st.sampled_from([0.3, 0.6, 0.9]))
-    @settings(max_examples=25, deadline=None)
-    def test_first_global_violation_matches_oracle(self, seed, fraction):
-        ensemble = _build_ensemble(seed, 4)
-        topology = line(4)
-        baseline = _drive_tracker(ensemble, topology)
-        bound = baseline.global_extremum().value * fraction
-        tracker = _drive_tracker(ensemble, topology, global_bound=bound)
-        trace = _build_oracle_trace(ensemble, topology)
-        assert tracker.first_global_violation == self._global_oracle(
-            trace, bound
-        )
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_first_local_violation_time_is_earliest(self, seed):
-        ensemble = _build_ensemble(seed, 4)
-        topology = line(4)
-        baseline = _drive_tracker(ensemble, topology)
-        bound = baseline.local_extremum().value * 0.5
-        if bound <= 0.0:
-            return  # degenerate draw: clocks never diverge
-        tracker = _drive_tracker(ensemble, topology, local_bound=bound)
-        trace = _build_oracle_trace(ensemble, topology)
-        # Oracle: each edge's earliest exceeding instant over the *pair's
-        # own* evaluation points; overall first violation time is their
-        # minimum (which edge reports it can depend on fold order, so
-        # only time and exceedance are asserted).
-        earliest = None
-        for a, b in topology.edges():
-            for t in trace._pair_eval_points(a, b, 0.0, HORIZON):
-                exceeded = any(
-                    abs(
-                        (trace.logical[a].value_left(t) if left
-                         else trace.logical[a].value(t))
-                        - (trace.logical[b].value_left(t) if left
-                           else trace.logical[b].value(t))
-                    ) > bound
-                    for left in (False, True)
-                )
-                if exceeded:
-                    if earliest is None or t < earliest:
-                        earliest = t
-                    break
-        assert tracker.first_local_violation is not None
-        t, magnitude, edge = tracker.first_local_violation
-        assert t == earliest
-        assert magnitude > bound
-        assert edge in tracker.edges
-
-
 class TestCheckpointMeetsRateChange:
     """The PR 3 dedup case: a rate-rule update firing exactly at a drift
     breakpoint is one linearity breakpoint, evaluated exactly once."""
@@ -318,3 +261,164 @@ class TestCheckpointMeetsRateChange:
         exact = trace.global_skew()
         folded = tracker.global_extremum()
         assert (folded.value, folded.time) == (exact.value, exact.time)
+
+
+def _assert_matches_oracle(tracker, trace, topology):
+    folded_g, exact_g = tracker.global_extremum(), trace.global_skew()
+    assert folded_g == exact_g
+    folded_l, exact_l = tracker.local_extremum(), trace.local_skew()
+    assert folded_l == exact_l
+    assert tracker.final_spread == trace.spread_at(HORIZON)
+    for idx, node in enumerate(topology.nodes):
+        record = trace.logical[node]
+        assert tracker.breakpoint_count(idx) == len(
+            record.breakpoints_in(record.start_time, HORIZON)
+        )
+
+
+#: ``(window instants, numpy threshold)`` per fold path under test.
+WINDOW_CONFIGS = {
+    "one-instant": (1, monitors_mod.VECTOR_MIN_INSTANTS),
+    "python-windows": (5, monitors_mod.VECTOR_MIN_INSTANTS),
+    "numpy-windows": (6, 1),
+    "numpy-one-window": (10_000, 1),
+}
+
+
+class TestWindowedFold:
+    """Every window size and evaluation path folds to the trace oracle."""
+
+    def _fold(self, seed, n_nodes, window, vector_min, numpy_off=False):
+        ensemble = _build_ensemble(seed, n_nodes)
+        topology = line(n_nodes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monitors_mod, "FLUSH_CELLS", window * n_nodes)
+            patch.setattr(monitors_mod, "VECTOR_MIN_INSTANTS", vector_min)
+            # Prune at every flush, so windows read truly pruned records.
+            patch.setattr(LogicalClockRecord, "PRUNE_BATCH", 1)
+            if numpy_off:
+                patch.setattr(trace_mod, "_np", None)
+            tracker = _drive_tracker(ensemble, topology, prune=True)
+        assert tracker.window_instants == window
+        return tracker, _build_oracle_trace(ensemble, topology), topology
+
+    @pytest.mark.parametrize("config", sorted(WINDOW_CONFIGS))
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_window_path_matches_trace(self, config, seed, n_nodes):
+        if config.startswith("numpy"):
+            pytest.importorskip("numpy")
+        window, vector_min = WINDOW_CONFIGS[config]
+        tracker, trace, topology = self._fold(seed, n_nodes, window, vector_min)
+        _assert_matches_oracle(tracker, trace, topology)
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_without_numpy_matches_trace(self, seed, n_nodes):
+        tracker, trace, topology = self._fold(
+            seed, n_nodes, 6, 1, numpy_off=True
+        )
+        _assert_matches_oracle(tracker, trace, topology)
+
+    @pytest.mark.parametrize("config", sorted(WINDOW_CONFIGS))
+    def test_ties_resolve_to_the_earliest_instant(self, config):
+        """A constant skew ties at every instant: the first one must win,
+        inside a window and across windows alike."""
+        if config.startswith("numpy"):
+            pytest.importorskip("numpy")
+        window, vector_min = WINDOW_CONFIGS[config]
+        ensemble = [
+            {"bps": [0.0], "rates": [1.0], "start": 0.0,
+             "events": [(0.5 * k, "checkpoint", 1.0) for k in range(2, 40)]},
+            {"bps": [0.0], "rates": [1.0], "start": 0.0,
+             "events": [(0.5, "jump", 0.5)]},
+        ]
+        topology = line(2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monitors_mod, "FLUSH_CELLS", window * 2)
+            patch.setattr(monitors_mod, "VECTOR_MIN_INSTANTS", vector_min)
+            tracker = _drive_tracker(ensemble, topology, prune=True)
+        trace = _build_oracle_trace(ensemble, topology)
+        assert trace.local_skew().time == 0.5
+        _assert_matches_oracle(tracker, trace, topology)
+
+
+def _busy_record(start: float = 0.0):
+    """A record with enough checkpoints (and one jump) to be pruned."""
+    clock = HardwareClock(
+        PiecewiseConstantRate([0.0, 7.5, 21.0], [1.04, 0.97, 1.01]),
+        start_time=start,
+    )
+    record = LogicalClockRecord(clock)
+    t = start
+    for k in range(80):
+        t += 0.25
+        if k % 17 == 5:
+            record.jump(t, record.value(t) + 0.125)
+        else:
+            record.checkpoint(t, 1.0 + 0.01 * (k % 5))
+    return record
+
+
+class TestPrunedVectorKernel:
+    def test_pruned_record_matches_unpruned_sweeps(self):
+        numpy = pytest.importorskip("numpy")
+        pruned, twin = _busy_record(start=2.0), _busy_record(start=2.0)
+        pruned.prune_to(15.0)
+        kept_from = pruned._times[0]
+        assert kept_from > pruned.start_time  # really pruned
+        # Before the start, after the kept prefix, at a checkpoint and a
+        # jump instant, at a rate breakpoint, and past the last checkpoint.
+        points = [0.0, 1.5, kept_from + 0.1, 15.0, 16.75, 21.0, 22.0, 40.0]
+        right, left = trace_mod._vector_values(pruned, numpy.asarray(points))
+        assert right.tolist() == twin.values_at(points)
+        assert left.tolist() == twin.values_left_at(points)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.05])
+    def test_query_in_pruned_prefix_raises(self, offset):
+        numpy = pytest.importorskip("numpy")
+        record = _busy_record(start=2.0)
+        record.prune_to(15.0)
+        inside = record.start_time + offset
+        with pytest.raises(TraceError, match="pruned prefix"):
+            trace_mod._vector_values(record, numpy.asarray([1.0, inside, 16.0]))
+        with pytest.raises(TraceError, match="pruned prefix"):
+            trace_mod._vector_values(
+                record, numpy.asarray([record._times[0], 16.0])
+            )
+
+
+def _line_spec(seed: int, record_trace: bool) -> ExecutionSpec:
+    nodes = 64
+    fast = sorted(random.Random(f"windowed-fold:{seed}").sample(range(nodes), 32))
+    params = SyncParams.recommended(epsilon=0.05, delay_bound=1.0)
+    return ExecutionSpec(
+        topology=line(nodes),
+        algorithm=AoptAlgorithm(params),
+        drift=TwoGroupDrift(0.05, fast),
+        delay=ConstantDelay(1.0),
+        horizon=100.0,
+        seed=seed,
+        params=params,
+        record_trace=record_trace,
+    )
+
+
+class TestEngineWindows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_line64_streaming_equals_trace_across_flushes(self, seed, monkeypatch):
+        flushes = []
+        flush = StreamingSkewTracker._flush
+
+        def counting_flush(tracker):
+            flushes.append(len(tracker._window_ts))
+            flush(tracker)
+
+        monkeypatch.setattr(StreamingSkewTracker, "_flush", counting_flush)
+        streamed = _line_spec(seed, record_trace=False).run_summary()
+        traced = _line_spec(seed, record_trace=True).run_summary()
+        assert dataclasses.replace(streamed, spec_digest="") == dataclasses.replace(
+            traced, spec_digest=""
+        )
+        full = [size for size in flushes if size == 16384 // 64]
+        assert len(full) >= 2, flushes

@@ -24,6 +24,7 @@ from repro.obs import RunMetrics, SweepMetrics, event_log_digest
 from repro.obs.profile import profile_specs
 from repro.sim.delays import ConstantDelay, UniformDelay
 from repro.sim.drift import ConstantDrift, RandomWalkDrift
+from repro.sim.runner import run_execution_streaming
 from repro.topology.generators import line, ring
 
 pytestmark = pytest.mark.obs
@@ -92,6 +93,22 @@ class TestRunMetrics:
             "setup", "run", "trace", "skew-eval"
         }
         assert all(v >= 0.0 for v in trace.metrics.phase_seconds.values())
+
+    def test_streaming_phase_timings_charge_the_fold(self):
+        """Streaming runs fold skews instead of assembling a trace: the
+        flushes and the final fold are ``skew-fold``, not ``run``/``trace``."""
+        result = run_execution_streaming(
+            line(4),
+            AoptAlgorithm(PARAMS),
+            ConstantDrift(PARAMS.epsilon),
+            ConstantDelay(1.0, max_delay=1.0),
+            HORIZON,
+            collect_metrics=True,
+        )
+        phases = result.metrics.phase_seconds
+        assert set(phases) == {"setup", "run", "skew-fold"}
+        assert all(v >= 0.0 for v in phases.values())
+        assert phases["skew-fold"] > 0.0
 
     def test_disabled_is_strict_noop(self):
         trace_off, _ = make_spec().run()
