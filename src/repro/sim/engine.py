@@ -397,8 +397,7 @@ class SimulationEngine:
         self._tracker: Optional[StreamingSkewTracker] = None
         if not record_trace:
             self._tracker = StreamingSkewTracker(
-                topology.nodes, topology.edges(), self.horizon, prune=True,
-                timed=collect_metrics,
+                topology.nodes, topology.edges(), self.horizon, prune=True
             )
 
         self._dynamic: Optional[CompiledTopologySchedule] = None

@@ -48,6 +48,11 @@ FLUSH_CELLS = 16384
 #: Window size from which a streaming flush evaluates through numpy.
 VECTOR_MIN_INSTANTS = 64
 
+#: Window size from which a pure-Python flush uses the batched sweeps;
+#: below it the scalar methods' bisects cost less than the sweeps'
+#: per-call set-up (measured crossover: 3 to 4 instants).
+SWEEP_MIN_INSTANTS = 4
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -169,20 +174,20 @@ class StreamingSkewTracker:
     right-value and one left-limit column per record over the window's
     instants, through the numpy kernel trace mode uses
     (``_vector_values``) from :data:`VECTOR_MIN_INSTANTS` instants on,
-    else in pure Python (the ``values_at`` / ``values_left_at`` sweeps,
-    or ``value`` / ``value_left`` for a one-instant window), then the
-    same ordered fold as above.  Deferring evaluation
-    is exact: every later checkpoint lands at or after the event
-    frontier, past every pending instant, so the segments a pending
-    instant reads never change.
+    else in pure Python (the ``values_at`` / ``values_left_at`` sweeps
+    from :data:`SWEEP_MIN_INSTANTS` instants on, ``value`` /
+    ``value_left`` below), then the same ordered fold as above.
+    Deferring evaluation is exact: every later checkpoint lands at or
+    after the event frontier, past every pending instant, so the
+    segments a pending instant reads never change.
 
     Memory is O(nodes + edges + 16,384 cells): with ``prune=True`` each
     flush also discards the record segments its owners no longer need,
     so a full run needs bounded memory regardless of length.
 
-    With ``timed=True`` each flush adds its wall time to
-    :attr:`fold_seconds` (one ``perf_counter`` pair per flush, none per
-    event); the engine reports it as the ``skew-fold`` phase.
+    Each flush adds its wall time to :attr:`fold_seconds` (one
+    ``perf_counter`` pair per flush, none per event); the engine reports
+    it as the ``skew-fold`` phase.
     """
 
     def __init__(
@@ -191,18 +196,16 @@ class StreamingSkewTracker:
         edges: Sequence[Tuple[NodeId, NodeId]],
         horizon: float,
         prune: bool = False,
-        timed: bool = False,
     ):
         self.horizon = float(horizon)
         self.nodes: List[NodeId] = list(nodes)
         self.edges: List[Tuple[NodeId, NodeId]] = [tuple(e) for e in edges]
         #: Spread at the horizon (right values); set by :meth:`finalize`.
         self.final_spread = 0.0
-        #: Wall seconds spent in flushes (``timed=True`` only).
+        #: Wall seconds spent in flushes.
         self.fold_seconds = 0.0
 
         self._prune = prune
-        self._timed = timed
         n = len(self.nodes)
         #: Instants a pending window holds before it is flushed.
         self.window_instants = max(1, FLUSH_CELLS // max(n, 1))
@@ -323,7 +326,7 @@ class StreamingSkewTracker:
     def _flush(self) -> None:
         """Evaluate the pending window and fold it; then empty it."""
         ts = self._window_ts
-        started = perf_counter() if self._timed else 0.0
+        started = perf_counter()
         # (edge, instant) pairs in fold order: ascending instants; at
         # each, every edge or the owners' incident edges, each once.
         pair_edges: List[int] = []
@@ -356,8 +359,7 @@ class StreamingSkewTracker:
         self._window_ts = []
         self._window_owners = []
         self._window_all_edges = []
-        if self._timed:
-            self.fold_seconds += perf_counter() - started
+        self.fold_seconds += perf_counter() - started
 
     def _fold_vector(
         self, np, ts: List[float], pair_edges: List[int], pair_instants: List[int]
@@ -415,26 +417,25 @@ class StreamingSkewTracker:
         n_inst = len(ts)
         records = self._records
         # Flat row-major columns: record r's value at ts[k] sits at
-        # r * n_inst + k, so a one-instant window is a plain value list.
-        if n_inst == 1:
-            # Networks above 8,192 nodes flush every instant alone; the
-            # scalar methods give the sweeps' floats without their
-            # per-call list set-up, which would dominate here.
-            t = ts[0]
-            rights = [0.0 if rec is None else rec.value(t) for rec in records]
-            lefts = [0.0 if rec is None else rec.value_left(t) for rec in records]
-        else:
-            rights = []
-            lefts = []
-            zeros = [0.0] * n_inst
-            for record in records:
-                if record is None:
-                    rights += zeros
-                    lefts += zeros
-                    continue
+        # r * n_inst + k.
+        rights: List[float] = []
+        lefts: List[float] = []
+        zeros = [0.0] * n_inst
+        sweep = n_inst >= SWEEP_MIN_INSTANTS
+        for record in records:
+            if record is None:
+                rights += zeros
+                lefts += zeros
+            elif sweep:
                 hw_values = record.hardware.values_at(ts)
                 rights += record.values_at(ts, _hw_values=hw_values)
                 lefts += record.values_left_at(ts, _hw_values=hw_values)
+            else:
+                # Right then left at each instant: the left limit reuses
+                # the hardware clock's memoised value.
+                for t in ts:
+                    rights.append(record.value(t))
+                    lefts.append(record.value_left(t))
         best_value = self._best_value
         for k in range(n_inst):
             for flat in (rights, lefts):

@@ -131,9 +131,9 @@ class PiecewiseConstantRate:
     def integrals_at(self, ts: Sequence[float]) -> List[float]:
         """Batched :meth:`integral_from_start` over ascending ``ts``.
 
-        A single forward pointer sweep replaces the per-call bisect; each
-        output is computed with exactly the same arithmetic expression as
-        the scalar method, so the results are bit-identical.
+        One bisect places the first time; a forward pointer sweep does the
+        rest.  Each output is computed with exactly the same arithmetic
+        expression as the scalar method, so the results are bit-identical.
         """
         times = self._times
         rates = self._rates
@@ -142,7 +142,7 @@ class PiecewiseConstantRate:
         last_index = len(times) - 1
         out: List[float] = []
         append = out.append
-        i = 0
+        i = max(bisect_right(times, ts[0]) - 1, 0) if ts else 0
         for t in ts:
             if t >= last_time:
                 i = last_index

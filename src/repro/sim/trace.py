@@ -201,8 +201,9 @@ class LogicalClockRecord:
     ) -> List[float]:
         """Batched :meth:`value` over ascending ``ts`` (bit-identical).
 
-        One forward pointer sweep replaces the per-call bisect + memo
-        machinery; every output is produced by exactly the same float
+        One bisect places the first point and a forward pointer sweep does
+        the rest, so a short batch late in a long record costs no walk from
+        the start; every output is produced by exactly the same float
         expression as the scalar method, so results agree to the last
         bit.  ``_hw_values`` lets a caller evaluating both one-sided
         limits reuse the hardware sweep (the hardware clock has no jumps,
@@ -221,7 +222,7 @@ class LogicalClockRecord:
         )
         out: List[float] = []
         append = out.append
-        i = 0
+        i = max(bisect_right(times, ts[0]) - 1, 0) if ts else 0
         for t, hw in zip(ts, hw_values):
             if t >= last:
                 j = last_index
@@ -257,7 +258,7 @@ class LogicalClockRecord:
         )
         out: List[float] = []
         append = out.append
-        i = 0
+        i = max(bisect_right(times, ts[0]) - 1, 0) if ts else 0
         for t, hw in zip(ts, hw_values):
             if t <= first:
                 if t <= start:

@@ -15,9 +15,10 @@ must evaluate the same point set in the same order with the same
 arithmetic, which is the engine-parity contract (docs/ENGINE.md).
 
 The fold runs in flushed windows of pending instants; the window size
-and the numpy/pure-Python switch are patched per test so that one-instant
-windows, small pure-Python windows, numpy windows over pruned records and
-numpy-free installs each meet the same oracle.
+and the numpy/pure-Python switch are patched per test so that windows
+evaluated with the scalar methods, with the pure-Python sweeps and with
+numpy over pruned records, and numpy-free installs, each meet the same
+oracle.
 
 The dedup regression from PR 3 — a logical checkpoint landing exactly on
 a hardware rate breakpoint is ONE linearity breakpoint, not two — gets a
@@ -279,6 +280,7 @@ def _assert_matches_oracle(tracker, trace, topology):
 #: ``(window instants, numpy threshold)`` per fold path under test.
 WINDOW_CONFIGS = {
     "one-instant": (1, monitors_mod.VECTOR_MIN_INSTANTS),
+    "scalar-windows": (3, monitors_mod.VECTOR_MIN_INSTANTS),
     "python-windows": (5, monitors_mod.VECTOR_MIN_INSTANTS),
     "numpy-windows": (6, 1),
     "numpy-one-window": (10_000, 1),
@@ -386,6 +388,31 @@ class TestPrunedVectorKernel:
             trace_mod._vector_values(
                 record, numpy.asarray([record._times[0], 16.0])
             )
+
+
+class TestBatchedSweeps:
+    """The sweeps bisect to their first point, so a window may start
+    anywhere in a record: each slice equals the scalar methods."""
+
+    @pytest.mark.parametrize("prune_at", [None, 15.0])
+    def test_slices_match_scalar_methods(self, prune_at):
+        record = _busy_record(start=2.0)
+        if prune_at is not None:
+            record.prune_to(prune_at)
+        floor = record.start_time if prune_at is None else record._times[0]
+        grid = [0.125 * k for k in range(400)] + list(record._times) + [7.5, 21.0]
+        points = sorted({t for t in grid if t > floor})
+        rate = record.hardware.rate_function
+        for first in range(0, len(points), 9):
+            for length in (1, 2, 7, 64):
+                ts = points[first:first + length]
+                assert rate.integrals_at(ts) == [
+                    rate.integral_from_start(t) for t in ts
+                ]
+                assert record.values_at(ts) == [record.value(t) for t in ts]
+                assert record.values_left_at(ts) == [
+                    record.value_left(t) for t in ts
+                ]
 
 
 def _line_spec(seed: int, record_trace: bool) -> ExecutionSpec:
