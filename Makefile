@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-faults test-obs test-lint test-cert test-parity test-backend test-dynamic test-byzantine perf-smoke lint lint-cold bench examples report sweep-smoke profile-smoke certify-smoke check clean
+.PHONY: install test test-slow test-faults test-obs test-lint test-cert test-parity test-backend test-dynamic test-byzantine perf-smoke lint lint-cold bench examples report sweep-smoke profile-smoke certify-smoke ledger ledger-quick check clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -138,6 +138,15 @@ examples:
 
 report:
 	$(PYTHON) -m repro report --output report.md
+
+# The performance ledger (benchmarks/ledger/README.md): one end-to-end
+# set of all four workloads, appended to .ledger/ledger.json.  Not part
+# of `check`: a full set takes about 1.5 minutes.
+ledger:
+	$(PYTHON) -m benchmarks.ledger run
+
+ledger-quick:
+	$(PYTHON) -m benchmarks.ledger run --quick
 
 check: lint lint-cold test test-parity test-backend test-dynamic test-byzantine perf-smoke certify-smoke bench
 

@@ -21,10 +21,15 @@
 The report separates deterministic content (:meth:`CertificationReport.as_dict`
 is stable for a fixed seed/budget/build, apart from the wall-clock
 ``duration_seconds`` field) from presentation (:meth:`~CertificationReport.format_text`).
-A ``budget_seconds`` cap stops dispatching new scenario batches once the
-wall-time budget is spent — already-dispatched work still completes, so
-the processed prefix is always a deterministic function of how many
-scenarios ran.
+Dispatch is a single executor batch over the whole scenario stream (one
+pool per campaign, as in
+:func:`~repro.cert.differential.differential_certify`) unless
+``budget_seconds`` is set.  Only then is the stream dispatched
+in batches of ``_BATCH`` scenarios, and the cap stops dispatching new
+batches once the wall-time budget is spent — already-dispatched work
+still completes, so the processed prefix is always a deterministic
+function of how many scenarios ran.  Either way, outcomes are checked in
+index order, so the report does not depend on the dispatch.
 """
 
 from __future__ import annotations
@@ -274,12 +279,13 @@ def certify(
 
     ``manifest_path`` makes the campaign resumable: a
     :class:`~repro.exec.manifest.CampaignManifest` over every fuzzed
-    spec is kept up to date on disk as batches complete.  With
-    ``resume=True`` an existing manifest at that path is loaded first,
-    so completed digests are served from the result cache (or the
-    work-queue results store) and quarantined ones are skipped — the
-    scenario stream itself is a pure function of ``seed``/``budget``,
-    which is what makes the digests line up across invocations.
+    spec is saved to disk as each executor batch completes or is
+    interrupted.  With ``resume=True`` an existing manifest at that
+    path is loaded first, so completed digests are served from the
+    result cache (or the work-queue results store) and quarantined ones
+    are skipped — the scenario stream itself is a pure function of
+    ``seed``/``budget``, which is what makes the digests line up across
+    invocations.
     """
     started = time.monotonic()
     selected = resolve_certificates(theorems)
@@ -326,11 +332,12 @@ def certify(
     scenarios_run = 0
     unfinished = 0
 
-    for start in range(0, len(scenarios), _BATCH):
+    step = _BATCH if budget_seconds is not None else max(1, len(scenarios))
+    for start in range(0, len(scenarios), step):
         if budget_seconds is not None and time.monotonic() - started > budget_seconds:
             break
-        batch = scenarios[start : start + _BATCH]
-        outcomes = executor.run(specs[start : start + _BATCH], manifest=manifest)
+        batch = scenarios[start : start + step]
+        outcomes = executor.run(specs[start : start + step], manifest=manifest)
         # An interrupted backend (chaos, lost workers) returns only the
         # outcomes it finished; the gap is unchecked work, not success.
         unfinished += len(batch) - len(outcomes)

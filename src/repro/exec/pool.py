@@ -212,13 +212,14 @@ class SweepExecutor:
 
         Batch accounting lands on :attr:`last_metrics`.  When a
         :class:`~repro.exec.manifest.CampaignManifest` is passed, every
-        spec's progress is mirrored into it (and saved, if it has a
-        path): cache hits and successes become ``done``, failures become
-        ``quarantined``, and specs already ``quarantined`` in the
-        manifest are *not* re-run — they report their quarantine as the
-        error.  Specs the backend could not finish (an interrupted
-        work-queue campaign) are omitted from the returned list and stay
-        ``pending``/``leased`` in the manifest for ``--resume``.
+        spec's progress is mirrored into it (and saved on the way out,
+        an interrupt included, if it has a path): cache hits and
+        successes become ``done``, failures become ``quarantined``, and
+        specs already ``quarantined`` in the manifest are *not* re-run —
+        they report their quarantine as the error.  Specs the backend
+        could not finish (an interrupted work-queue campaign) are omitted
+        from the returned list and stay ``pending``/``leased`` in the
+        manifest for ``--resume``.
         """
         started = time.perf_counter()
         specs = list(specs)
@@ -282,11 +283,13 @@ class SweepExecutor:
                     metrics.failed += 1
             metrics.unfinished = len(specs) - len(results)
             metrics.wall_seconds = time.perf_counter() - started
-            if manifest is not None and manifest.path is not None:
-                manifest.save()
             return results
         finally:
+            # Saved on every way out, an interrupt included, so the specs
+            # that finished before it keep their done/quarantined records.
             self._manifest = None
+            if manifest is not None and manifest.path is not None:
+                manifest.save()
 
     def run_summaries(
         self,

@@ -678,3 +678,24 @@ class TestPoolInterrupt:
         assert not multiprocessing.active_children(), (
             "worker processes must not outlive an interrupted sweep"
         )
+
+    def test_interrupt_saves_manifest(self, tmp_path):
+        # A campaign interrupted mid-dispatch keeps the records of the
+        # specs that finished before the interrupt, on disk.
+        class InterruptAfterOne(SerialBackend):
+            def execute(self, executor, specs, pending, outcomes):
+                executor._run_serial(specs, pending[:1], outcomes)
+                raise KeyboardInterrupt()
+
+        specs = _specs(3)
+        path = tmp_path / "m.json"
+        manifest = CampaignManifest.for_specs(specs, path=path)
+        executor = SweepExecutor(workers=1, backend=InterruptAfterOne())
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(specs, manifest=manifest)
+
+        saved = CampaignManifest.load(path)
+        assert saved.state(specs[0].digest()) == "done"
+        assert saved.attempts(specs[0].digest()) == 1
+        for spec in specs[1:]:
+            assert saved.state(spec.digest()) == "pending"

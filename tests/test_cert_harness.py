@@ -25,6 +25,7 @@ from repro.cert import (
     shrink_scenario,
 )
 from repro.core.params import SyncParams
+from repro.exec import SweepExecutor
 
 pytestmark = pytest.mark.cert
 
@@ -234,6 +235,52 @@ class TestCampaigns:
         )
         assert report.scenarios_run == 0
         assert report.clean
+
+
+def _deterministic(report):
+    payload = report.as_dict()
+    del payload["duration_seconds"]
+    return payload
+
+
+class TestCampaignDispatch:
+    """A campaign is one executor batch unless a time budget applies."""
+
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", 1), ("process-pool", 2)]
+    )
+    def test_single_dispatch_matches_batched(self, backend, workers):
+        def run(budget_seconds):
+            return certify(
+                budget=16,
+                seed=0,
+                budget_seconds=budget_seconds,
+                executor=SweepExecutor(workers=workers, backend=backend),
+            )
+
+        single, batched = run(None), run(1e9)
+        assert single.scenarios_run == batched.scenarios_run == 16
+        assert _deterministic(single) == _deterministic(batched)
+
+    def test_cold_campaign_starts_one_pool(self, monkeypatch):
+        import repro.exec.pool as pool_module
+
+        started = []
+
+        class CountingPool(pool_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", CountingPool)
+        report = certify(
+            budget=16,
+            seed=0,
+            shrink=False,
+            executor=SweepExecutor(workers=2, backend="process-pool"),
+        )
+        assert report.scenarios_run == 16
+        assert len(started) == 1
 
 
 class TestDifferential:
