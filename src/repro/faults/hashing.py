@@ -14,13 +14,20 @@ across processes and platforms (unlike ``hash()``, which is salted by
 ``random.Random`` stream).  Keys are built from ``repr``, which is a
 round-trip representation for the hashables used as node ids and for
 IEEE-754 floats.
+
+A caller that draws several kinds for the same key parts (the fault
+injector draws ``drop``, ``dup`` and ``spike`` for one message) can
+encode the parts once: :func:`prefix_state` absorbs the key's opening
+``(seed, kind`` and :func:`uniform_after` finishes a copy with the
+encoded rest.  Both hash exactly the bytes :func:`stable_uniform` hashes,
+which stays the definition.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-__all__ = ["stable_uniform"]
+__all__ = ["prefix_state", "stable_uniform", "uniform_after"]
 
 #: 2**64, the scale of the 8-byte hash prefix.
 _SCALE = float(1 << 64)
@@ -37,3 +44,27 @@ def stable_uniform(seed: int, *parts: object) -> float:
     token = repr((seed,) + parts).encode("utf-8")
     prefix = hashlib.sha256(token).digest()[:8]
     return int.from_bytes(prefix, "big") / _SCALE
+
+
+def prefix_state(seed: int, kind: object):
+    """A SHA-256 state that has absorbed the opening ``(seed, kind`` of a key.
+
+    A tuple's ``repr`` is ``"(" + ", ".join(map(repr, items)) + ")"``, so
+    the rest of ``repr((seed, kind, *parts))`` is each part as
+    ``f", {part!r}"`` and a closing ``")"``.  :func:`uniform_after` with
+    that tail gives ``stable_uniform(seed, kind, *parts)``, bit for bit:
+
+    >>> tail = ", 'a', 'b', 1.5, 3)".encode("utf-8")
+    >>> uniform_after(prefix_state(0, "drop"), tail) == stable_uniform(
+    ...     0, "drop", "a", "b", 1.5, 3
+    ... )
+    True
+    """
+    return hashlib.sha256(f"({seed!r}, {kind!r}".encode("utf-8"))
+
+
+def uniform_after(prefix, tail: bytes) -> float:
+    """The uniform variate of ``prefix`` (left untouched) followed by ``tail``."""
+    state = prefix.copy()
+    state.update(tail)
+    return int.from_bytes(state.digest()[:8], "big") / _SCALE

@@ -13,7 +13,10 @@ Message fates are decided by :func:`~repro.faults.hashing.stable_uniform`
 over ``(seed, kind, sender, receiver, send_time, seq)``: a pure function
 of the message identity, so fault decisions are independent of event
 processing order and replay byte-identically across processes, worker
-counts, and cache states.
+counts, and cache states.  The injector encodes a message's key once and
+hashes it per kind from SHA-256 states that have already absorbed each
+kind's ``(seed, kind`` prefix (:func:`~repro.faults.hashing.prefix_state`),
+which hashes exactly the bytes ``stable_uniform`` would.
 
 Byzantine corruption (:meth:`FaultInjector.corrupt_payload`) follows the
 same discipline: the corruption *mode* and *magnitude* for each
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import ScheduleError
-from repro.faults.hashing import stable_uniform
+from repro.faults.hashing import prefix_state, uniform_after
 from repro.faults.schedule import (
     BYZANTINE,
     BYZANTINE_END,
@@ -61,6 +64,7 @@ class MessageFate:
 
 
 _CLEAN = MessageFate()
+_DROPPED = MessageFate(drop=True)
 
 
 class FaultInjector:
@@ -133,6 +137,12 @@ class FaultInjector:
             )
             for node, events in per_byzantine.items()
         }
+        seed = schedule.seed
+        self._drop_prefix = prefix_state(seed, "drop")
+        self._dup_prefix = prefix_state(seed, "dup")
+        self._spike_prefix = prefix_state(seed, "spike")
+        self._mode_prefix = prefix_state(seed, "byz-mode")
+        self._magnitude_prefix = prefix_state(seed, "byz-mag")
 
     # -- node state ----------------------------------------------------------
 
@@ -252,11 +262,10 @@ class FaultInjector:
         ):
             return None
         logical, l_max = float(payload[0]), float(payload[1])
-        schedule = self.schedule
-        seed = schedule.seed
-        magnitude = schedule.byzantine_magnitude
-        mode = stable_uniform(seed, "byz-mode", sender, receiver, send_time, seq)
-        draw = stable_uniform(seed, "byz-mag", sender, receiver, send_time, seq)
+        magnitude = self.schedule.byzantine_magnitude
+        tail = _key_tail(sender, receiver, send_time, seq)
+        mode = uniform_after(self._mode_prefix, tail)
+        draw = uniform_after(self._magnitude_prefix, tail)
         if mode < 0.5:
             return (logical - magnitude * (0.5 + 0.5 * draw), l_max), "perturb"
         if mode < 0.8:
@@ -273,22 +282,24 @@ class FaultInjector:
         schedule = self.schedule
         if not schedule.has_message_faults:
             return _CLEAN
-        seed = schedule.seed
+        tail = _key_tail(sender, receiver, send_time, seq)
         if schedule.drop_probability > 0 and (
-            stable_uniform(seed, "drop", sender, receiver, send_time, seq)
-            < schedule.drop_probability
+            uniform_after(self._drop_prefix, tail) < schedule.drop_probability
         ):
-            return MessageFate(drop=True)
+            return _DROPPED
         duplicate = schedule.duplicate_probability > 0 and (
-            stable_uniform(seed, "dup", sender, receiver, send_time, seq)
-            < schedule.duplicate_probability
+            uniform_after(self._dup_prefix, tail) < schedule.duplicate_probability
         )
         extra = 0.0
         if schedule.spike_probability > 0 and (
-            stable_uniform(seed, "spike", sender, receiver, send_time, seq)
-            < schedule.spike_probability
+            uniform_after(self._spike_prefix, tail) < schedule.spike_probability
         ):
             extra = schedule.spike_delay
         if not duplicate and extra == 0.0:
             return _CLEAN
         return MessageFate(duplicate=duplicate, extra_delay=extra)
+
+
+def _key_tail(sender: NodeId, receiver: NodeId, send_time: float, seq: int) -> bytes:
+    """The encoded rest of a message key after its ``(seed, kind`` prefix."""
+    return f", {sender!r}, {receiver!r}, {send_time!r}, {seq!r})".encode("utf-8")

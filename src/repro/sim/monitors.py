@@ -14,6 +14,10 @@ numerical tolerance.
 
 Monitors either raise :class:`~repro.errors.InvariantViolation` fail-fast
 (``strict=True``) or collect violations for post-run inspection.
+
+A per-node check reads the node's engine runtime once and evaluates its
+clock at the ``time`` it is passed, which both engines set to the
+current event time; unstarted nodes are skipped.
 """
 
 from __future__ import annotations
@@ -91,10 +95,11 @@ class EnvelopeMonitor(BaseMonitor):
         self.epsilon = float(epsilon)
 
     def check(self, engine, node: NodeId, time: float) -> None:
-        start = engine.start_time(node)
-        if start is None:
+        runtime = engine._runtimes[node]
+        if not runtime.started:
             return
-        logical = engine.logical_value(node)
+        start = runtime.hardware.start_time
+        logical = runtime.record.value(time)
         lower = (1 - self.epsilon) * (time - start)
         upper = (1 + self.epsilon) * time
         if logical < lower - TOLERANCE:
@@ -129,10 +134,10 @@ class RateBoundMonitor(BaseMonitor):
         self.beta = float(beta)
 
     def check(self, engine, node: NodeId, time: float) -> None:
-        if engine.start_time(node) is None:
+        runtime = engine._runtimes[node]
+        if not runtime.started:
             return
-        runtime_record = engine._runtimes[node].record
-        rate = runtime_record.rate_at(time)
+        rate = runtime.record.rate_at(time)
         if rate < self.alpha - TOLERANCE:
             self._report(
                 node,
@@ -543,9 +548,10 @@ class MonotonicityMonitor(BaseMonitor):
         self._last: dict = {}
 
     def check(self, engine, node: NodeId, time: float) -> None:
-        if engine.start_time(node) is None:
+        runtime = engine._runtimes[node]
+        if not runtime.started:
             return
-        logical = engine.logical_value(node)
+        logical = runtime.record.value(time)
         previous: Optional[float] = self._last.get(node)
         if previous is not None and logical < previous - TOLERANCE:
             self._report(

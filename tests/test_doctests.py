@@ -7,11 +7,13 @@ import pytest
 import repro.analysis.tables
 import repro.core.bounds
 import repro.core.rate_rule
+import repro.faults.hashing
 
 MODULES = [
     repro.core.rate_rule,
     repro.core.bounds,
     repro.analysis.tables,
+    repro.faults.hashing,
 ]
 
 

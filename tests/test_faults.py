@@ -10,6 +10,10 @@ worker counts and cache states.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import math
 import pickle
 
 import pytest
@@ -21,18 +25,22 @@ from repro.exec import ExecutionSpec, ResultCache, SweepExecutor
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
+    MessageFate,
     fault_epochs,
     loss_accounting,
     per_epoch_skew,
     stable_uniform,
     time_to_resync,
 )
-from repro.sim.delays import ConstantDelay, LossyDelay
-from repro.sim.drift import ConstantDrift, TwoGroupDrift
+from repro.faults.hashing import prefix_state, uniform_after
+from repro.sim.delays import ConstantDelay, LossyDelay, UniformDelay
+from repro.sim.drift import ConstantDrift, RandomWalkDrift, TwoGroupDrift
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_execution
-from repro.topology.generators import line
+from repro.topology.dynamic import TopologySchedule
+from repro.topology.generators import grid, line
 from repro.variants.fault_tolerant import FaultTolerantAoptAlgorithm
+from repro.variants.ftgcs import FtgcsAlgorithm, ftgcs_rejection_window
 
 from tests.test_engine import ScriptedAlgorithm
 
@@ -768,7 +776,7 @@ class TestLossyDelayHashing:
 # ---------------------------------------------------------------------------
 
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.topology.generators import star  # noqa: E402
@@ -981,3 +989,237 @@ class TestByzantineEngine:
         exposed_skew = exposed.global_skew(150.0, 250.0).value
         filtered_skew = filtered.global_skew(150.0, 250.0).value
         assert filtered_skew < exposed_skew / 2
+
+
+# ---------------------------------------------------------------------------
+# draw equivalence: the injector's prefix-state hashing vs stable_uniform
+# ---------------------------------------------------------------------------
+
+
+_NODE_IDS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.text(max_size=6),
+    st.tuples(st.integers(0, 63), st.integers(0, 63)),
+)
+_SEEDS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([-1, -(2**64), 2**64, 2**64 + 1]),
+)
+_SEND_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e17]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SEQS = st.integers(0, 10**9)
+_PROBABILITIES = st.sampled_from([0.0, 0.05, 0.5, 0.95])
+_FATE_FIELDS = {
+    "drop": "drop_probability",
+    "dup": "duplicate_probability",
+    "spike": "spike_probability",
+}
+
+
+def _reference_fate(schedule, *key):
+    """``message_fate`` rebuilt from ``stable_uniform`` thresholds."""
+    seed = schedule.seed
+    if schedule.drop_probability > 0 and (
+        stable_uniform(seed, "drop", *key) < schedule.drop_probability
+    ):
+        return True, False, 0.0
+    duplicate = schedule.duplicate_probability > 0 and (
+        stable_uniform(seed, "dup", *key) < schedule.duplicate_probability
+    )
+    spike = schedule.spike_probability > 0 and (
+        stable_uniform(seed, "spike", *key) < schedule.spike_probability
+    )
+    return False, duplicate, schedule.spike_delay if spike else 0.0
+
+
+def _reference_corruption(schedule, payload, *key):
+    """``corrupt_payload`` rebuilt from ``stable_uniform`` thresholds."""
+    logical, l_max = payload
+    magnitude = schedule.byzantine_magnitude
+    mode = stable_uniform(schedule.seed, "byz-mode", *key)
+    draw = stable_uniform(schedule.seed, "byz-mag", *key)
+    if mode < 0.5:
+        return (logical - magnitude * (0.5 + 0.5 * draw), l_max), "perturb"
+    if mode < 0.8:
+        return (logical - magnitude * (0.25 + 0.75 * draw), l_max), "equivocate"
+    shift = magnitude * (0.5 + 0.5 * draw)
+    return (logical - shift, max(0.0, l_max - shift)), "replay"
+
+
+def _fate_fired(fate, kind):
+    return {"drop": fate.drop, "dup": fate.duplicate, "spike": fate.extra_delay > 0}[kind]
+
+
+class TestDrawEquivalence:
+    @given(
+        seed=_SEEDS,
+        sender=_NODE_IDS,
+        receiver=_NODE_IDS,
+        send_time=_SEND_TIMES,
+        seq=_SEQS,
+        drop=_PROBABILITIES,
+        dup=_PROBABILITIES,
+        spike=_PROBABILITIES,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_message_fate_matches_stable_uniform(
+        self, seed, sender, receiver, send_time, seq, drop, dup, spike
+    ):
+        schedule = FaultSchedule(
+            drop_probability=drop,
+            duplicate_probability=dup,
+            spike_probability=spike,
+            spike_delay=1.5,
+            seed=seed,
+        )
+        key = (sender, receiver, send_time, seq)
+        fate = FaultInjector(schedule).message_fate(*key)
+        assert (fate.drop, fate.duplicate, fate.extra_delay) == _reference_fate(
+            schedule, *key
+        )
+
+    @given(
+        seed=_SEEDS,
+        sender=_NODE_IDS,
+        receiver=_NODE_IDS,
+        send_time=_SEND_TIMES,
+        seq=_SEQS,
+        kind=st.sampled_from(sorted(_FATE_FIELDS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_fate_draw_is_bit_equal(
+        self, seed, sender, receiver, send_time, seq, kind
+    ):
+        # A draw d fires below a threshold p iff d < p.  With p at the
+        # reference draw u it must not fire, and one ulp above u it must:
+        # together that leaves only d == u.
+        key = (sender, receiver, send_time, seq)
+        u = stable_uniform(seed, kind, *key)
+        assume(u > 0.0)
+        field = _FATE_FIELDS[kind]
+        at = FaultSchedule(seed=seed, spike_delay=1.0, **{field: u})
+        above = FaultSchedule(seed=seed, spike_delay=1.0, **{field: math.nextafter(u, 1.0)})
+        assert not _fate_fired(FaultInjector(at).message_fate(*key), kind)
+        assert _fate_fired(FaultInjector(above).message_fate(*key), kind)
+
+    @given(
+        seed=_SEEDS,
+        sender=_NODE_IDS,
+        receiver=_NODE_IDS,
+        send_time=_SEND_TIMES,
+        seq=_SEQS,
+        logical=st.floats(-1e6, 1e6),
+        l_max=st.floats(0.0, 1e6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_corrupt_payload_matches_stable_uniform(
+        self, seed, sender, receiver, send_time, seq, logical, l_max
+    ):
+        schedule = FaultSchedule(seed=seed, byzantine_magnitude=7.25).byzantine(
+            sender, at=0.0
+        )
+        key = (sender, receiver, send_time, seq)
+        payload = (logical, l_max)
+        assert FaultInjector(schedule).corrupt_payload(
+            *key, payload
+        ) == _reference_corruption(schedule, payload, *key)
+
+    @given(
+        seed=_SEEDS,
+        kind=st.sampled_from(["drop", "dup", "spike", "byz-mode", "byz-mag", "loss"]),
+        parts=st.lists(st.one_of(_NODE_IDS, _SEND_TIMES), max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_state_is_stable_uniform(self, seed, kind, parts):
+        prefix = prefix_state(seed, kind)
+        tail = "".join(f", {part!r}" for part in parts) + ")"
+        first = uniform_after(prefix, tail.encode("utf-8"))
+        assert first == stable_uniform(seed, kind, *parts)
+        # The prefix state is copied, never consumed.
+        assert uniform_after(prefix, tail.encode("utf-8")) == first
+
+    def test_dropped_fate_is_shared(self):
+        injector = FaultInjector(FaultSchedule(drop_probability=0.999, seed=1))
+        fates = [injector.message_fate(0, 1, float(i), i) for i in range(20)]
+        dropped = [fate for fate in fates if fate.drop]
+        assert dropped and all(fate is dropped[0] for fate in dropped)
+        assert dropped[0] == MessageFate(drop=True)
+
+
+# ---------------------------------------------------------------------------
+# pinned fault-heavy execution
+# ---------------------------------------------------------------------------
+
+#: sha256 of the pinned run's canonical summary, captured from the
+#: per-call ``stable_uniform`` injector.  Both engines share the
+#: injector, so the parity suite cannot see a changed fault draw; this
+#: pin can.
+PINNED_FAULT_RUN_SHA = "a8f74366350097b4473450bb0f0537321fcc8515f032d90e35ad3a8bdf721fb7"
+
+
+def _pinned_fault_spec():
+    """ftgcs on grid(3,3) under every fault kind, invariants checked."""
+    topology = grid(3, 3)
+    nodes = list(topology.nodes)
+    window = ftgcs_rejection_window(PARAMS, 4)
+    faults = FaultSchedule.random_crash_cycles(
+        nodes[1:],
+        0.01,
+        8.0,
+        120.0,
+        start=30.0,
+        seed=11,
+        drop_probability=0.1,
+        duplicate_probability=0.05,
+        spike_probability=0.1,
+        spike_delay=0.5,
+        byzantine_magnitude=6 * window,
+    )
+    faults.byzantine(nodes[5], at=20.0, until=90.0)
+    churn = TopologySchedule.churn(
+        topology.edges(), 0.01, 6.0, 120.0, start=30.0, seed=11
+    )
+    return ExecutionSpec(
+        topology=topology,
+        algorithm=FtgcsAlgorithm(PARAMS, window),
+        drift=RandomWalkDrift(0.05, 5.0, 0.02, seed=11),
+        delay=UniformDelay(0.0, 1.0, seed=11),
+        horizon=120.0,
+        seed=11,
+        check_invariants=True,
+        params=PARAMS,
+        faults=faults,
+        topology_schedule=churn,
+        label="pinned-fault-mix",
+    )
+
+
+def _canonical(obj):
+    """JSON-safe form in which floats are their round-trip ``repr``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _canonical(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {repr(key): _canonical(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(value) for value in obj]
+    if isinstance(obj, float):
+        return repr(obj)
+    return obj
+
+
+class TestPinnedFaultRun:
+    def test_summary_sha_is_pinned(self):
+        summary = _pinned_fault_spec().run_summary()
+        # Every fault kind really fired.
+        assert summary.messages_dropped > 0
+        assert summary.messages_duplicated > 0
+        assert summary.messages_lost_crash > 0
+        assert summary.messages_lost_link > 0
+        assert summary.monitor_violations == ()
+        # spec_digest is an input; run_metrics is present only when
+        # metrics are collected.
+        stripped = dataclasses.replace(summary, spec_digest="", run_metrics=None)
+        text = json.dumps(_canonical(stripped), sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_FAULT_RUN_SHA

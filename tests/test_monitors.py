@@ -1,5 +1,8 @@
 """Unit tests for the invariant monitors."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.interfaces import Algorithm, AlgorithmNode
@@ -8,6 +11,7 @@ from repro.sim.delays import ConstantDelay
 from repro.sim.drift import ConstantDrift
 from repro.sim.engine import SimulationEngine
 from repro.sim.monitors import EnvelopeMonitor, MonotonicityMonitor, RateBoundMonitor
+from repro.sim.reference import ReferenceSimulationEngine
 from repro.topology.generators import line
 
 
@@ -102,3 +106,71 @@ class TestMonotonicityMonitor:
         monitor = MonotonicityMonitor(strict=True)
         run_with([monitor])
         assert monitor.violations == []
+
+
+# ---------------------------------------------------------------------------
+# report pins
+# ---------------------------------------------------------------------------
+
+#: Full violation lists of the three per-node monitors on the violating
+#: engines below, captured from the accessor-based checks
+#: (``engine.start_time`` / ``engine.logical_value``) that the direct
+#: runtime reads replaced.
+REPORTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "monitors" / "violation-reports.json").read_text()
+)
+
+REPORT_CASES = {
+    "multiplier-2.0": dict(multiplier=2.0),
+    "multiplier-0.5": dict(multiplier=0.5),
+    "jumps-allowed-multiplier-2.0": dict(multiplier=2.0, jump_to=4.0, allows_jumps=True),
+}
+
+
+def _collecting_monitors():
+    return [
+        EnvelopeMonitor(0.05, strict=False),
+        RateBoundMonitor(alpha=0.9, beta=1.2, strict=False),
+        MonotonicityMonitor(strict=False),
+    ]
+
+
+@pytest.mark.parametrize("engine_cls", [SimulationEngine, ReferenceSimulationEngine])
+class TestReportPins:
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_reports_match_pinned(self, engine_cls, case):
+        settings = dict(REPORT_CASES[case])
+        monitors = _collecting_monitors()
+        engine_cls(
+            line(2),
+            _Algo(settings.pop("multiplier"), **settings),
+            ConstantDrift(0.05),
+            ConstantDelay(0.5),
+            20.0,
+            monitors=monitors,
+        ).run()
+        reports = [
+            [v.monitor, v.node, v.time, v.detail]
+            for monitor in monitors
+            for v in monitor.violations
+        ]
+        assert reports == REPORTS[case]
+
+    def test_unstarted_node_skipped(self, engine_cls):
+        # Before the run no node has started: no clock record exists yet,
+        # and every check must return without reading one.
+        monitors = _collecting_monitors()
+        engine = engine_cls(
+            line(2),
+            _Algo(2.0),
+            ConstantDrift(0.05),
+            ConstantDelay(0.5),
+            20.0,
+            monitors=monitors,
+        )
+        for node in (0, 1):
+            assert not engine.is_started(node)
+            for monitor in monitors:
+                monitor.check(engine, node, 3.0)
+        assert [m.violations for m in monitors] == [[], [], []]
+        assert monitors[2]._last == {}
