@@ -41,12 +41,14 @@ test-cert:
 test-parity:
 	$(PYTHON) -m pytest tests/ -m parity
 
-# The fault-tolerant campaign stack: retry/lease/manifest units plus the
-# SIGKILL chaos acceptance (docs/EXECUTION.md).  The explicit `-m backend`
-# overrides the tier-1 `-m "not slow"` default, so the slow chaos cases
-# run here too.
+# The fault-tolerant campaign stack: retry/lease/manifest units, the
+# failure semantics on every backend, the process-pool crash and timeout
+# cases, and the SIGKILL chaos acceptance (docs/EXECUTION.md).  The
+# explicit `-m backend` overrides the tier-1 `-m "not slow"` default, so
+# the slow cases run here too.
 test-backend:
-	$(PYTHON) -m pytest tests/test_backend.py tests/test_backend_chaos.py -m backend
+	$(PYTHON) -m pytest tests/test_backend.py tests/test_backend_chaos.py \
+		tests/test_parallel_equivalence.py -m backend
 
 # The dynamic-topology model end to end: schedule/engine/parity units,
 # the network-merge suite on TopologySchedule, and the E24/E30

@@ -284,15 +284,25 @@ def _executor_options(args):
     return workers, cache
 
 
+def _retry_policy(args):
+    """The :class:`RetryPolicy` for ``--max-retries``/``--spec-timeout``.
+
+    Raises :class:`~repro.errors.ConfigurationError` on
+    ``--max-retries < 0`` or ``--spec-timeout <= 0``.
+    """
+    from repro.exec.retry import RetryPolicy
+
+    return RetryPolicy(max_retries=args.max_retries, timeout=args.spec_timeout)
+
+
 def _campaign_options(args, workers):
     """Resolve ``--backend``/``--max-retries``/``--spec-timeout``/chaos flags.
 
     Returns ``(backend, retry)`` ready for :class:`SweepExecutor`.
-    Raises :class:`~repro.errors.ConfigurationError` on bad combinations
-    (e.g. ``--backend work-queue`` without ``--queue-dir``).
+    Raises :class:`~repro.errors.ConfigurationError` on bad values or
+    combinations (e.g. ``--backend work-queue`` without ``--queue-dir``).
     """
     from repro.exec.backend import DEFAULT_LEASE_TTL, ChaosConfig, resolve_backend
-    from repro.exec.retry import RetryPolicy
 
     chaos = None
     kill = getattr(args, "chaos_kill", 0.0) or 0.0
@@ -303,16 +313,12 @@ def _campaign_options(args, workers):
         getattr(args, "backend", None),
         queue_dir=getattr(args, "queue_dir", None),
         workers=workers,
-        lease_ttl=getattr(args, "lease_ttl", None) or DEFAULT_LEASE_TTL,
+        lease_ttl=(
+            DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl
+        ),
         chaos=chaos,
     )
-    retry = None
-    if getattr(args, "max_retries", 0) or getattr(args, "spec_timeout", None):
-        retry = RetryPolicy(
-            max_retries=getattr(args, "max_retries", 0) or 0,
-            timeout=getattr(args, "spec_timeout", None),
-        )
-    return backend, retry
+    return backend, _retry_policy(args)
 
 
 def _campaign_manifest(args, specs, meta):
@@ -548,7 +554,7 @@ def _cmd_sweep(args) -> int:
 
     started = time.perf_counter()
     executor = SweepExecutor(
-        workers=workers, cache=cache, timeout=args.timeout,
+        workers=workers, cache=cache,
         collect_metrics=bool(args.metrics), backend=backend, retry=retry,
     )
     outcomes = executor.run(all_specs, manifest=manifest)
@@ -864,8 +870,14 @@ def _cmd_faults(args) -> int:
 
 def _cmd_profile(args) -> int:
     # Lazy import: repro.obs.profile pulls in the exec layer.
-    from repro.exec.retry import RetryPolicy
+    from repro.errors import ReproError
     from repro.obs.profile import profile_specs
+
+    try:
+        retry = _retry_policy(args)
+    except ReproError as exc:
+        print(f"repro profile: {exc}", file=sys.stderr)
+        return 2
 
     params = _build_params(args)
     topology = _build_topology(args)
@@ -877,12 +889,6 @@ def _cmd_profile(args) -> int:
         params,
         horizon=args.horizon,
     )
-    retry = None
-    if getattr(args, "max_retries", 0) or getattr(args, "spec_timeout", None):
-        retry = RetryPolicy(
-            max_retries=getattr(args, "max_retries", 0) or 0,
-            timeout=getattr(args, "spec_timeout", None),
-        )
     report = profile_specs(specs, retry=retry)
     if args.format == "json":
         import json
@@ -1298,10 +1304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="aopt", choices=ALGORITHM_CHOICES
     )
     sweep_parser.add_argument("--horizon", type=float, default=None)
-    sweep_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-execution timeout in seconds (parallel runs only)"
-    )
     add_executor_arguments(sweep_parser)
     add_campaign_arguments(sweep_parser)
     add_metrics_argument(sweep_parser)

@@ -1,15 +1,18 @@
 """Campaign execution backends: serial, process-pool, and work-queue.
 
-:class:`~repro.exec.pool.SweepExecutor` decides *what* to run (cache
-scan, outcome assembly, metrics); a :class:`Backend` decides *how* the
-pending specs actually execute:
+:class:`~repro.exec.pool.SweepExecutor` decides *what* to run and
+records what came back (cache, manifest, metrics); a :class:`Backend`
+only moves the pending specs to processes and yields each one's
+:class:`~repro.exec.retry.RetryOutcome`.  Attempts, timeouts and
+quarantine are decided in one place on every backend:
+:func:`~repro.exec.retry.run_with_retry`.
 
 :class:`SerialBackend`
     Everything in the calling process — the debuggable reference path.
 :class:`ProcessPoolBackend`
-    The historical behavior: ``workers=1`` runs serially, otherwise the
-    crash-isolated :class:`~concurrent.futures.ProcessPoolExecutor`
-    path.  This is the default (``backend='auto'``).
+    Serial at ``workers=1``, otherwise a crash-isolated
+    :class:`~concurrent.futures.ProcessPoolExecutor`.  This is the
+    default (``backend='auto'``).
 :class:`WorkQueueBackend`
     A file-based work queue whose unit of work is a spec digest.
     Workers — processes spawned here, or independent drainers on other
@@ -54,11 +57,15 @@ import signal
 import tempfile
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.exec.retry import RetryPolicy, run_with_retry
+from repro.exec.retry import RetryOutcome, RetryPolicy, format_error, run_with_retry
+from repro.obs.metrics import SweepMetrics
 
 __all__ = [
     "Backend",
@@ -79,6 +86,12 @@ DEFAULT_LEASE_TTL = 5.0
 
 #: Default polling interval for queue scans and the parent monitor loop.
 DEFAULT_POLL = 0.05
+
+#: Replacement workers allowed per worker once a whole set has died.
+RESPAWNS_PER_WORKER = 4
+
+#: One unit of work handed to a backend: ``(index, cache_key, spec)``.
+Job = Tuple[int, str, Any]
 
 
 def filesystem_now(root: Union[str, "os.PathLike[str]"]) -> float:
@@ -309,9 +322,6 @@ class WorkQueue:
         except OSError:
             pass
 
-    def has_lease(self, key: str) -> bool:
-        return os.path.exists(self.lease_path(key))
-
     def _lease_stale(self, lease: str, ttl: float) -> bool:
         try:
             held_since = os.stat(lease).st_mtime
@@ -392,7 +402,6 @@ def drain_queue(
     """
     queue = WorkQueue(queue_dir)
     queue.ensure()
-    policy = retry if retry is not None else RetryPolicy(max_retries=0)
     # The pid only labels the lease file for post-mortem debugging; it
     # never reaches a result record, summary, or digest.
     owner = f"worker-{worker_index}-pid-{os.getpid()}"  # reprolint: disable=R006
@@ -422,29 +431,28 @@ def drain_queue(
             try:
                 spec = queue.load_spec(key)
                 if spec is None:
-                    record = {
-                        "summary": None,
-                        "error": "queue entry unreadable (corrupt spec pickle)",
-                        "seconds": 0.0,
-                        "attempts": queue.read_attempts(key),
-                        "timeouts": 0,
-                    }
+                    outcome = RetryOutcome(
+                        result=None,
+                        error="queue entry unreadable (corrupt spec pickle)",
+                        seconds=0.0,
+                        attempts=queue.read_attempts(key),
+                        timeouts=0,
+                    )
                 else:
                     outcome = run_with_retry(
                         spec,
-                        policy=policy,
+                        policy=retry,
                         collect_metrics=collect_metrics,
                         attempts_used=queue.read_attempts(key),
                         on_attempt=lambda n, k=key: queue.write_attempts(k, n),
                     )
-                    record = {
-                        "summary": outcome.result,
-                        "error": outcome.error,
-                        "seconds": outcome.seconds,
-                        "attempts": outcome.attempts,
-                        "timeouts": outcome.timeouts,
-                    }
-                queue.write_result(key, record)
+                queue.write_result(key, {
+                    "summary": outcome.result,
+                    "error": outcome.error,
+                    "seconds": outcome.seconds,
+                    "attempts": outcome.attempts,
+                    "timeouts": outcome.timeouts,
+                })
                 completed += 1
             finally:
                 heartbeat.stop()
@@ -458,24 +466,41 @@ def drain_queue(
 
 
 class Backend:
-    """How a batch of pending specs gets executed; see module docstring.
+    """How a batch of jobs reaches processes; see module docstring.
 
-    ``execute`` receives the calling
-    :class:`~repro.exec.pool.SweepExecutor` (for ``_finish``,
-    ``_cache_key``, the retry policy, metrics, and the active manifest),
-    the full spec list, the pending indices, and the outcome slots to
-    fill.  Slots a backend cannot fill (an interrupted work-queue
-    campaign) stay ``None``; the executor reports them as unfinished and
-    the manifest keeps them resumable.
+    :meth:`run` receives ``jobs``, a list of ``(index, cache_key, spec)``
+    triples, and is a generator yielding ``(index, RetryOutcome)`` as
+    each job finishes.  Every attempt runs through
+    :func:`~repro.exec.retry.run_with_retry` under ``retry``, which alone
+    counts attempts, applies the timeout and decides when a spec fails
+    for good.  Jobs a backend cannot finish (an interrupted work-queue
+    campaign) are never yielded; the executor reports them as unfinished
+    and the manifest keeps them resumable.  ``metrics`` is the batch's
+    :class:`~repro.obs.metrics.SweepMetrics`; a backend touches only its
+    own counters there.
     """
 
     name = "backend"
 
-    def execute(self, executor, specs, pending, outcomes) -> None:
+    def run(
+        self,
+        jobs: Sequence[Job],
+        workers: int,
+        retry: Optional[RetryPolicy],
+        collect_metrics: bool,
+        metrics: SweepMetrics,
+    ) -> Iterator[Tuple[int, RetryOutcome]]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
+
+
+def _run_in_process(jobs, retry, collect_metrics):
+    for index, _key, spec in jobs:
+        yield index, run_with_retry(
+            spec, policy=retry, collect_metrics=collect_metrics
+        )
 
 
 class SerialBackend(Backend):
@@ -483,20 +508,111 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def execute(self, executor, specs, pending, outcomes) -> None:
-        executor._run_serial(specs, pending, outcomes)
+    def run(self, jobs, workers, retry, collect_metrics, metrics):
+        return _run_in_process(jobs, retry, collect_metrics)
 
 
 class ProcessPoolBackend(Backend):
-    """The historical default: serial at ``workers=1``, else the pool."""
+    """The default: serial at ``workers=1``, else a process pool.
+
+    A worker dying outright (segfault, ``os._exit``) breaks its pool.
+    The breakage of a shared pool charges no spec: every job still in
+    flight re-runs alone in a one-worker pool, so a repeat crash
+    implicates exactly one spec.  A crash while running alone charges
+    that spec one attempt, and it re-runs alone with its crash count as
+    ``attempts_used`` until :func:`~repro.exec.retry.run_with_retry`
+    reports the budget spent — the way a dead work-queue worker's
+    attempt is charged.
+    """
 
     name = "process-pool"
 
-    def execute(self, executor, specs, pending, outcomes) -> None:
-        if executor.workers == 1:
-            executor._run_serial(specs, pending, outcomes)
-        else:
-            executor._run_parallel(specs, pending, outcomes)
+    def run(self, jobs, workers, retry, collect_metrics, metrics):
+        if workers == 1:
+            yield from _run_in_process(jobs, retry, collect_metrics)
+            return
+        crashes: Dict[int, int] = {}
+        suspects: List[Job] = []
+        batch = list(jobs)
+        while batch:
+            broke = False
+            dispatched = self._dispatch(
+                batch, workers, retry, collect_metrics, crashes
+            )
+            with closing(dispatched):
+                for job, outcome in dispatched:
+                    if outcome is not None:
+                        if crashes.get(job[0]) and not outcome.ok:
+                            metrics.note("crash-failed")
+                        yield job[0], outcome
+                        continue
+                    broke = True
+                    suspects.append(job)
+                    if len(batch) == 1:
+                        crashes[job[0]] = crashes.get(job[0], 0) + 1
+            if broke:
+                metrics.note("pool-breakage")
+            batch, suspects = suspects[:1], suspects[1:]
+            if batch:
+                metrics.note("isolated-retry")
+
+    def _dispatch(self, jobs, workers, retry, collect_metrics, crashes):
+        """Run ``jobs`` on one fresh pool, yielding ``(job, outcome)``.
+
+        The outcome is ``None`` for a job the pool's breakage took.  A
+        job whose submission fails (the spec does not pickle, say)
+        reports the error on its own outcome; the others run on.
+        """
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+        broken = False
+        try:
+            futures = {}
+            for job in jobs:
+                try:
+                    future = pool.submit(
+                        run_with_retry, job[2], retry, collect_metrics,
+                        attempts_used=crashes.get(job[0], 0),
+                    )
+                except BrokenProcessPool:
+                    broken = True
+                    break
+                futures[future] = job
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    outcome = None
+                except Exception as exc:  # noqa: BLE001 — this job's dispatch failed
+                    outcome = RetryOutcome(
+                        result=None, error=format_error(exc), seconds=0.0,
+                        attempts=0, timeouts=0,
+                    )
+                yield futures[future], outcome
+            for job in jobs[len(futures):]:
+                yield job, None  # never submitted: the pool broke first
+        except BaseException:
+            # An interrupt (or the consumer closing this generator) while
+            # futures are in flight: a graceful shutdown would wait on
+            # running workers, so hard-terminate and let none outlive us.
+            broken = True
+            raise
+        finally:
+            if broken:
+                self._terminate_pool(pool)
+            else:
+                pool.shutdown(wait=True)
+
+    @staticmethod
+    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+        """Best-effort hard stop of a pool with stuck or dead workers."""
+        pool.shutdown(wait=False, cancel_futures=True)
+        processes = getattr(pool, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.terminate()
+            except Exception:  # noqa: BLE001 - already dead
+                pass
 
 
 class WorkQueueBackend(Backend):
@@ -516,13 +632,11 @@ class WorkQueueBackend(Backend):
         Scan/monitor cadence in seconds.
     chaos:
         Optional :class:`ChaosConfig` fault injection (tests/smoke).
-    mp_context:
-        :mod:`multiprocessing` context; defaults to ``fork`` where
-        available so campaign-local spec classes reach workers.
-    max_respawns:
-        Cap on replacement workers after total worker loss (guards
-        against a spec that kills every process it touches faster than
-        quarantine can catch it).  Default: ``4 × workers``.
+
+    When every worker has died, a fresh set is spawned, up to
+    ``RESPAWNS_PER_WORKER × workers`` replacements in all; the cap stops
+    a spec that kills every process it touches faster than its retry
+    budget can quarantine it.
     """
 
     name = "work-queue"
@@ -534,8 +648,6 @@ class WorkQueueBackend(Backend):
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll: float = DEFAULT_POLL,
         chaos: Optional[ChaosConfig] = None,
-        mp_context=None,
-        max_respawns: Optional[int] = None,
     ):
         if lease_ttl <= 0:
             raise ConfigurationError(
@@ -548,30 +660,19 @@ class WorkQueueBackend(Backend):
         self.lease_ttl = lease_ttl
         self.poll = poll
         self.chaos = chaos
-        self.mp_context = mp_context
-        self.max_respawns = max_respawns
 
-    def _context(self):
-        if self.mp_context is not None:
-            return self.mp_context
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
-    def execute(self, executor, specs, pending, outcomes) -> None:
+    def run(self, jobs, workers, retry, collect_metrics, metrics):
         queue = WorkQueue(self.queue_dir)
         queue.ensure()
-        keys: Dict[int, str] = {}
-        for index in pending:
-            key = executor._cache_key(specs[index])
-            keys[index] = key
+        for _index, key, spec in jobs:
             if not queue.has_result(key):
-                queue.enqueue(key, specs[index])
-
-        worker_count = self.workers or executor.workers
-        wanted = sorted(set(keys.values()))
+                queue.enqueue(key, spec)
+        worker_count = self.workers or workers
         reclaims_before = queue.reclaim_count()
-        ctx = self._context()
+        # fork where available, so campaign-local spec classes reach workers.
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
 
         def spawn(index: int):
             process = ctx.Process(
@@ -580,8 +681,8 @@ class WorkQueueBackend(Backend):
                     queue_dir=self.queue_dir,
                     worker_index=index,
                     worker_count=worker_count,
-                    retry=executor.retry,
-                    collect_metrics=executor.collect_metrics,
+                    retry=retry,
+                    collect_metrics=collect_metrics,
                     lease_ttl=self.lease_ttl,
                     poll=self.poll,
                     chaos=self.chaos,
@@ -592,27 +693,34 @@ class WorkQueueBackend(Backend):
             return process
 
         processes = [spawn(i) for i in range(worker_count)]
-        next_index = worker_count
-        respawned = 0
-        respawn_budget = (
-            self.max_respawns
-            if self.max_respawns is not None
-            else 4 * worker_count
-        )
+        waiting = list(jobs)
         try:
             while True:
-                self._sync_manifest(executor, queue, specs, keys)
-                if all(queue.has_result(key) for key in wanted):
+                unfinished = []
+                for job in waiting:
+                    record = queue.read_result(job[1])
+                    if record is None:
+                        unfinished.append(job)
+                        continue
+                    yield job[0], RetryOutcome(
+                        result=record.get("summary"),
+                        error=record.get("error"),
+                        seconds=record.get("seconds", 0.0),
+                        attempts=record.get("attempts", 1),
+                        timeouts=record.get("timeouts", 0),
+                    )
+                waiting = unfinished
+                if not waiting:
                     break
                 if not any(process.is_alive() for process in processes):
                     if self.chaos is not None and not self.chaos.respawn:
                         break  # deliberate: leave the campaign resumable
-                    if respawned >= respawn_budget:
+                    spawned = len(processes)
+                    if spawned >= (1 + RESPAWNS_PER_WORKER) * worker_count:
                         break  # something kills every worker; give up
-                    batch = [spawn(next_index + i) for i in range(worker_count)]
-                    processes.extend(batch)
-                    next_index += worker_count
-                    respawned += worker_count
+                    processes.extend(
+                        spawn(spawned + i) for i in range(worker_count)
+                    )
                 time.sleep(self.poll)
         finally:
             deadline = time.monotonic() + max(1.0, 4 * self.poll)
@@ -623,57 +731,7 @@ class WorkQueueBackend(Backend):
                     process.terminate()
             for process in processes:
                 process.join(timeout=1.0)
-
-        metrics = executor.last_metrics
-        if metrics is not None:
             metrics.lease_reclaims += queue.reclaim_count() - reclaims_before
-        for index in pending:
-            record = queue.read_result(keys[index])
-            if record is None:
-                continue  # unfinished; slot stays None, manifest resumable
-            executor._finish(
-                outcomes,
-                index,
-                specs[index],
-                record.get("summary"),
-                record.get("error"),
-                record.get("seconds", 0.0),
-                attempts=record.get("attempts", 1),
-                timeouts=record.get("timeouts", 0),
-            )
-        self._sync_manifest(executor, queue, specs, keys, save=True)
-
-    def _sync_manifest(
-        self, executor, queue, specs, keys, save: bool = False
-    ) -> None:
-        """Push queue progress into the active manifest (if any)."""
-        manifest = getattr(executor, "_manifest", None)
-        if manifest is None:
-            return
-        changed = False
-        for index, key in keys.items():
-            spec = specs[index]
-            digest = spec.digest()
-            record = queue.read_result(key)
-            if record is not None:
-                state = "done" if record.get("error") is None else "quarantined"
-                attempts = record.get("attempts", queue.read_attempts(key))
-            elif queue.has_lease(key):
-                state = "leased"
-                attempts = queue.read_attempts(key)
-            else:
-                state = "pending"
-                attempts = queue.read_attempts(key)
-            entry = manifest.entry(digest)
-            if (
-                entry is None
-                or entry.state != state
-                or entry.attempts < attempts
-            ):
-                manifest.mark(digest, state, attempts=attempts, label=spec.label)
-                changed = True
-        if (changed or save) and manifest.path is not None:
-            manifest.save()
 
 
 def resolve_backend(
@@ -683,12 +741,11 @@ def resolve_backend(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll: float = DEFAULT_POLL,
     chaos: Optional[ChaosConfig] = None,
-    mp_context=None,
 ) -> Backend:
     """Turn a ``--backend`` value into a :class:`Backend` instance.
 
-    ``None``/``'auto'`` preserve historical behavior
-    (:class:`ProcessPoolBackend`, which runs serially at ``workers=1``).
+    ``None``/``'auto'`` give :class:`ProcessPoolBackend`, which runs
+    serially at ``workers=1``.
     ``'work-queue'`` requires ``queue_dir``.
     """
     if isinstance(backend, Backend):
@@ -710,7 +767,6 @@ def resolve_backend(
             lease_ttl=lease_ttl,
             poll=poll,
             chaos=chaos,
-            mp_context=mp_context,
         )
     raise ConfigurationError(
         f"unknown backend {backend!r} "

@@ -24,16 +24,17 @@ State semantics
 ``pending``
     Not yet picked up (or picked up with no surviving evidence).
 ``leased``
-    A worker held the lease when the manifest was last written.  On
-    resume this is indistinguishable from ``pending``: the work is
+    No longer written; manifests from earlier versions still load with
+    it.  On resume it is indistinguishable from ``pending``: the work is
     re-enqueued and the content-addressed result store makes the
     re-run idempotent.
 ``done``
     A summary exists; resume serves it from the cache/results store.
 ``quarantined``
-    Escalated after the retry budget (or a non-retryable failure such as
-    an unpicklable spec).  Resume reports it as failed *without*
-    re-running; delete the entry (or the manifest) to force a retry.
+    Failed for good: the retry budget was spent (or the spec could not
+    be dispatched at all, e.g. it does not pickle).  Resume reports it
+    as failed *without* re-running; delete the entry (or the manifest)
+    to force a retry.
 """
 
 from __future__ import annotations

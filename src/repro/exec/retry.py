@@ -3,7 +3,7 @@
 A campaign over millions of executions will see transient failures —
 workers OOM-killed mid-spec, NFS hiccups, a wedged child process — that
 have nothing to do with the spec itself.  :class:`RetryPolicy` gives
-every execution path (serial, process-pool chunks, work-queue workers)
+every execution path (serial, process-pool workers, work-queue workers)
 one shared answer to "how often, how long, and how far apart do we try
 again":
 
@@ -186,7 +186,8 @@ def _attempt_deadline(seconds: Optional[float]):
 
     def _on_alarm(signum, frame):
         raise SpecTimeoutError(
-            f"execution attempt exceeded the {seconds:g}s wall-clock budget"
+            f"execution attempt timed out after its {seconds:g}s "
+            "wall-clock budget"
         )
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -212,14 +213,15 @@ def run_with_retry(
     ``runner`` defaults to ``spec.run_summary(collect_metrics=...)`` —
     the worker path — but any callable of the spec works (the profiler
     passes one returning the full trace).  ``attempts_used`` pre-charges
-    the budget with attempts made by earlier incarnations of this work
-    item (the work-queue persists the count across worker deaths), and
+    the budget with attempts that died with their worker process (the
+    work queue persists the count across worker deaths; the process
+    pool counts crashes of a spec running alone), and
     ``on_attempt(total_attempt_number)`` fires *before* each attempt so
     callers can persist the counter first — an attempt that dies with
-    the worker is still accounted for.
+    the worker is still accounted for.  A spec whose budget those crashes
+    already spent fails without running.
 
-    ``policy=None`` means one attempt, no timeout — the historical
-    behavior of every execution path.
+    ``policy=None`` means one attempt, no timeout.
     """
     if runner is None:
         def runner(s):
@@ -236,8 +238,8 @@ def run_with_retry(
         return RetryOutcome(
             result=None,
             error=(
-                f"retry budget exhausted: {attempt} attempts "
-                f"(max {policy.attempts_allowed})"
+                "retry budget exhausted: worker process crashed "
+                f"(after {attempt} attempts)"
             ),
             seconds=0.0,
             attempts=attempt,

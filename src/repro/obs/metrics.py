@@ -160,8 +160,9 @@ class SweepMetrics:
     wall_seconds: float = 0.0
     #: Worker-measured wall seconds per outcome index (executed specs only).
     per_spec_seconds: Dict[int, float] = field(default_factory=dict)
-    #: Quarantine/failure accounting: reason → count (``pool-breakage``,
-    #: ``isolated-retry``, ``crash-failed``, ``timeout``, ``unpicklable``).
+    #: Process-pool crash accounting: reason → count (``pool-breakage``
+    #: per broken pool, ``isolated-retry`` per spec re-run alone,
+    #: ``crash-failed`` per spec that failed after a worker crash).
     quarantine: Dict[str, int] = field(default_factory=dict)
     #: Total execution attempts across all specs (a clean batch with no
     #: retry policy shows one per executed spec).
@@ -169,7 +170,7 @@ class SweepMetrics:
     #: Attempts beyond each spec's first (``attempts - specs`` retried).
     retries: int = 0
     #: Attempts killed by the retry policy's per-attempt wall-clock
-    #: budget, plus chunk-budget expiries on the pool path.
+    #: budget.
     timeouts: int = 0
     #: Stale work-queue leases reclaimed from dead workers.
     lease_reclaims: int = 0

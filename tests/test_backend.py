@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.exec import ExecutionSpec, SweepExecutor
 from repro.exec.backend import (
     ChaosConfig,
+    ProcessPoolBackend,
     SerialBackend,
     WorkQueue,
     WorkQueueBackend,
@@ -84,6 +85,13 @@ class AlwaysFailingDelay(DelayModel):
 
     def delay(self, sender, receiver, send_time, seq) -> float:
         raise RuntimeError("injected permanent failure")
+
+
+class UnpicklableDelay(ConstantDelay):
+    """Digests like any delay model but refuses to pickle."""
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("cannot pickle UnpicklableDelay")
 
 
 def _failing_spec(seed: int = 0):
@@ -411,6 +419,21 @@ class TestBackendEquivalence:
         _assert_byte_identical(serial, pooled)
         _assert_byte_identical(serial, queued)
 
+    def test_unpicklable_spec_fails_alone_on_pool(self):
+        specs = _specs(3)
+        specs.insert(1, ExecutionSpec(
+            line(4), AoptAlgorithm(PARAMS),
+            TwoGroupDrift(0.05, [0, 1]), UnpicklableDelay(1.0),
+            HORIZON, label="unpicklable",
+        ))
+        outcomes = SweepExecutor(workers=2).run(specs)
+        assert outcomes[1].error == "TypeError: cannot pickle UnpicklableDelay"
+        assert outcomes[1].attempts == 0
+        serial = SweepExecutor(workers=1).run(specs[:1] + specs[2:])
+        for s, o in zip(serial, outcomes[:1] + outcomes[2:]):
+            assert o.ok
+            assert pickle.dumps(s.summary) == pickle.dumps(o.summary)
+
     def test_drain_queue_standalone_worker(self, tmp_path):
         # Any process sharing the filesystem can drain the queue directly
         # (the multi-host path, exercised here in-process).
@@ -570,6 +593,127 @@ class TestWorkQueueRecovery:
         assert metrics.unfinished == 0
 
 
+    def test_driver_death_resume_reexecutes_nothing(self, tmp_path):
+        # The driver dies after the queue finished but before its manifest
+        # recorded anything: resuming from the all-pending manifest must
+        # serve every outcome from the queue's result store.
+        specs = _specs(4)
+        serial = SweepExecutor(workers=1, backend="serial").run(specs)
+        path = tmp_path / "m.json"
+        CampaignManifest.for_specs(specs, path=path).save()
+        as_started = path.read_bytes()
+        SweepExecutor(
+            workers=2, backend=WorkQueueBackend(tmp_path / "q", lease_ttl=10.0),
+        ).run(specs, manifest=CampaignManifest.load(path))
+
+        attempts_dir = tmp_path / "q" / "attempts"
+
+        def attempt_files():
+            return {
+                entry.name: (entry.read_bytes(), entry.stat().st_mtime_ns)
+                for entry in attempts_dir.iterdir()
+            }
+
+        before = attempt_files()
+        assert len(before) == len(specs)
+        path.write_bytes(as_started)
+        stale = CampaignManifest.load(path)
+        assert stale.counts()["pending"] == len(specs)
+
+        resumed = SweepExecutor(
+            workers=2, backend=WorkQueueBackend(tmp_path / "q", lease_ttl=10.0),
+        ).run(specs, manifest=stale)
+        _assert_byte_identical(serial, resumed)
+        assert attempt_files() == before
+        assert CampaignManifest.load(path).counts()["done"] == len(specs)
+
+
+# ---------------------------------------------------------------------------
+# One failure semantics, every backend
+# ---------------------------------------------------------------------------
+
+BACKENDS = ["serial", "process-pool", "work-queue"]
+
+
+def _executor(backend: str, tmp_path, retry: RetryPolicy) -> SweepExecutor:
+    if backend == "work-queue":
+        return SweepExecutor(
+            workers=2, retry=retry,
+            backend=WorkQueueBackend(tmp_path / "q", lease_ttl=1.0),
+        )
+    return SweepExecutor(
+        workers=1 if backend == "serial" else 2, backend=backend, retry=retry
+    )
+
+
+class TestFailureSemantics:
+    """A raise, a timeout and a dead worker fail a spec the same way
+    on every backend: through ``run_with_retry`` and its policy."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_raising_spec_quarantined_after_budget(self, backend, tmp_path):
+        specs = _specs(1) + [_failing_spec()]
+        manifest = CampaignManifest.for_specs(specs)
+        retry = RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0)
+        executor = _executor(backend, tmp_path, retry)
+        outcomes = executor.run(specs, manifest=manifest)
+        assert outcomes[0].ok
+        assert not outcomes[1].ok
+        assert outcomes[1].attempts == 2
+        assert manifest.state(specs[1].digest()) == "quarantined"
+        assert manifest.attempts(specs[1].digest()) == 2
+        assert executor.last_metrics.retries == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_runaway_spec_times_out(self, backend, tmp_path):
+        runaway = ExecutionSpec(
+            line(9), AoptAlgorithm(PARAMS),
+            TwoGroupDrift(0.05, list(range(4))), ConstantDelay(1.0),
+            3000.0, label="runaway",
+        )
+        quick = _specs(1, horizon=5.0)[0]
+        executor = _executor(
+            backend, tmp_path, RetryPolicy(max_retries=0, timeout=0.05)
+        )
+        outcomes = executor.run([runaway, quick])
+        assert not outcomes[0].ok
+        assert "timed out" in outcomes[0].error
+        assert executor.last_metrics.timeouts == 1
+        serial = SweepExecutor(workers=1, backend="serial").run([quick])
+        assert outcomes[1].ok
+        assert pickle.dumps(outcomes[1].summary) == pickle.dumps(
+            serial[0].summary
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", ["process-pool", "work-queue"])
+    def test_worker_death_charges_one_attempt(self, backend, tmp_path):
+        from tests.test_parallel_equivalence import CrashingDelay
+
+        specs = _specs(3)
+        specs.insert(1, ExecutionSpec(
+            line(4), AoptAlgorithm(PARAMS),
+            TwoGroupDrift(0.05, [0, 1]), CrashingDelay(detonate_after=3),
+            HORIZON, label="crasher",
+        ))
+        retry = RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0)
+        outcomes = _executor(backend, tmp_path, retry).run(specs)
+        crasher = outcomes[1]
+        assert not crasher.ok
+        assert crasher.attempts == retry.attempts_allowed
+        assert (
+            f"worker process crashed (after {retry.attempts_allowed} attempts)"
+            in crasher.error
+        )
+        healthy = outcomes[:1] + outcomes[2:]
+        serial = SweepExecutor(workers=1, backend="serial").run(
+            specs[:1] + specs[2:]
+        )
+        for s, o in zip(serial, healthy):
+            assert o.ok
+            assert pickle.dumps(s.summary) == pickle.dumps(o.summary)
+
+
 # ---------------------------------------------------------------------------
 # ResultCache corruption quarantine (satellite)
 # ---------------------------------------------------------------------------
@@ -657,7 +801,7 @@ class TestPoolInterrupt:
             return real_submit(pool, fn, *args, **kwargs)
 
         terminated = []
-        real_terminate = SweepExecutor._terminate_pool
+        real_terminate = ProcessPoolBackend._terminate_pool
 
         def spying_terminate(pool):
             terminated.append(pool)
@@ -665,7 +809,7 @@ class TestPoolInterrupt:
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", interrupting_submit)
         monkeypatch.setattr(
-            SweepExecutor, "_terminate_pool", staticmethod(spying_terminate)
+            ProcessPoolBackend, "_terminate_pool", staticmethod(spying_terminate)
         )
 
         with pytest.raises(KeyboardInterrupt):
@@ -683,8 +827,10 @@ class TestPoolInterrupt:
         # A campaign interrupted mid-dispatch keeps the records of the
         # specs that finished before the interrupt, on disk.
         class InterruptAfterOne(SerialBackend):
-            def execute(self, executor, specs, pending, outcomes):
-                executor._run_serial(specs, pending[:1], outcomes)
+            def run(self, jobs, workers, retry, collect_metrics, metrics):
+                yield from super().run(
+                    jobs[:1], workers, retry, collect_metrics, metrics
+                )
                 raise KeyboardInterrupt()
 
         specs = _specs(3)
@@ -699,3 +845,22 @@ class TestPoolInterrupt:
         assert saved.attempts(specs[0].digest()) == 1
         for spec in specs[1:]:
             assert saved.state(spec.digest()) == "pending"
+
+    def test_manifest_saved_while_outcomes_arrive(self, tmp_path, monkeypatch):
+        import repro.exec.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "MANIFEST_SAVE_SECONDS", 0.0)
+        path = tmp_path / "m.json"
+        on_disk = []
+
+        class ReadBack(SerialBackend):
+            def run(self, jobs, *args):
+                for index, outcome in super().run(jobs, *args):
+                    yield index, outcome
+                    on_disk.append(CampaignManifest.load(path).counts()["done"])
+
+        specs = _specs(3)
+        SweepExecutor(backend=ReadBack()).run(
+            specs, manifest=CampaignManifest.for_specs(specs, path=path)
+        )
+        assert on_disk == [1, 2, 3]

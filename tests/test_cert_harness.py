@@ -263,16 +263,16 @@ class TestCampaignDispatch:
         assert _deterministic(single) == _deterministic(batched)
 
     def test_cold_campaign_starts_one_pool(self, monkeypatch):
-        import repro.exec.pool as pool_module
+        import repro.exec.backend as backend_module
 
         started = []
 
-        class CountingPool(pool_module.ProcessPoolExecutor):
+        class CountingPool(backend_module.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(backend_module, "ProcessPoolExecutor", CountingPool)
         report = certify(
             budget=16,
             seed=0,

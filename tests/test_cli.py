@@ -155,3 +155,41 @@ class TestLowerBoundCommands:
         assert exit_code == 0
         assert "Theorem 7.7" in out
         assert "forced neighbor skew" in out
+
+
+class TestCampaignFlagValidation:
+    """Bad retry and lease flags are usage errors (exit 2) everywhere."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--topology", "line", "--diameters", "2", "--no-cache"],
+            ["certify", "--budget", "1", "--no-cache"],
+            ["profile", "--topology", "line", "--nodes", "3",
+             "--horizon", "10"],
+        ],
+        ids=["sweep", "certify", "profile"],
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-retries", "-1"],
+            ["--spec-timeout", "0"],
+            ["--spec-timeout", "-1"],
+            ["--spec-timeout", "0", "--max-retries", "1"],
+        ],
+        ids=["negative-retries", "zero-timeout", "negative-timeout",
+             "zero-timeout-with-retries"],
+    )
+    def test_bad_retry_flags_exit_2(self, command, flags, capsys):
+        assert main(command + flags) == 2
+        assert f"repro {command[0]}:" in capsys.readouterr().err
+
+    def test_zero_lease_ttl_rejected(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--topology", "line", "--diameters", "2", "--no-cache",
+            "--backend", "work-queue", "--queue-dir", str(tmp_path / "q"),
+            "--lease-ttl", "0",
+        ])
+        assert code == 2
+        assert "lease_ttl must be positive" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from repro.baselines import MidpointAlgorithm
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
 from repro.errors import SimulationError
-from repro.exec import ExecutionSpec, SweepExecutor
+from repro.exec import ExecutionSpec, RetryPolicy, SweepExecutor
 from repro.faults import FaultSchedule
 from repro.sim.delays import ConstantDelay, DelayModel, UniformDelay
 from repro.sim.drift import AlternatingDrift, RandomWalkDrift, TwoGroupDrift
@@ -203,12 +203,6 @@ class TestParallelEquivalence:
         with pytest.raises(SimulationError, match="always-fails"):
             SweepExecutor(workers=1).run_summaries([spec])
 
-    def test_chunked_dispatch_equivalence(self):
-        specs = _case_grid()
-        serial = SweepExecutor(workers=1).run(specs)
-        chunked = SweepExecutor(workers=2, chunk_size=2).run(specs)
-        _assert_outcomes_byte_identical(serial, chunked)
-
     def test_auto_workers_resolves(self):
         from repro.exec import resolve_workers
 
@@ -228,8 +222,8 @@ def _byzantine_case_grid():
     """Specs carrying Byzantine schedules, over both engines' algorithms.
 
     Corruption draws come from the per-message hash, so these cases probe
-    the property the hash exists for: no worker count, dispatch order, or
-    chunking can perturb which lie lands on which message.
+    the property the hash exists for: neither worker count nor dispatch
+    order can perturb which lie lands on which message.
     """
     window = ftgcs_rejection_window(BYZ_PARAMS, 2)
     attack = (
@@ -357,6 +351,7 @@ class TestHarnessEquivalence:
 
 
 @pytest.mark.slow
+@pytest.mark.backend
 class TestCrashIsolationSlow:
     """Hard worker deaths (os._exit) must not take down the sweep."""
 
@@ -370,7 +365,7 @@ class TestCrashIsolationSlow:
                 HORIZON, label="crasher",
             ),
         )
-        outcomes = SweepExecutor(workers=2, max_crash_retries=2).run(specs)
+        outcomes = SweepExecutor(workers=2).run(specs)
         by_label = {o.spec.label: o for o in outcomes}
         assert not by_label["crasher"].ok
         assert "crash" in by_label["crasher"].error
@@ -396,7 +391,9 @@ class TestCrashIsolationSlow:
             TwoGroupDrift(0.05, [0, 1]), ConstantDelay(1.0),
             HORIZON, label="quick",
         )
-        outcomes = SweepExecutor(workers=2, timeout=0.05).run([slow_spec, quick])
+        outcomes = SweepExecutor(
+            workers=2, retry=RetryPolicy(timeout=0.05)
+        ).run([slow_spec, quick])
         by_label = {o.spec.label: o for o in outcomes}
         assert not by_label["slow-horizon"].ok
         assert "timed out" in by_label["slow-horizon"].error
