@@ -137,19 +137,3 @@ def test_streaming_matches_trace_throughput(benchmark):
     assert result.local_skew == trace.local_skew()
     assert result.final_spread == trace.spread_at(trace.horizon)
     benchmark.extra_info["events"] = result.events_processed
-
-
-@pytest.mark.benchmark(group="E21-engine-perf", min_rounds=3)
-def test_numpy_fastpath_cost(benchmark):
-    """The vectorized evaluation: same exact answer, faster."""
-    numpy = pytest.importorskip("numpy")
-    from repro.analysis.fastpath import global_skew_fast
-
-    params = SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY)
-    trace = build_and_run(
-        line(16), params, TwoGroupDrift(EPSILON, list(range(8))),
-        ConstantDelay(DELAY), 150.0,
-    )
-
-    result = benchmark(global_skew_fast, trace)
-    assert result.value == pytest.approx(trace.global_skew().value, abs=1e-9)

@@ -3,7 +3,7 @@
 Two halves of a line run as separate networks — the bridge edge is held
 out of the topology by a :class:`~repro.topology.dynamic.TopologySchedule`
 (``edge_appears`` at the join time), the first-class dynamic-graph model
-that replaced the old ``TimeGatedDelay`` message-dropping workaround.
+that replaced the old message-dropping workaround (since removed).
 While separated, the halves' maxima drift apart at ``2ε`` per unit time.
 When the bridge appears, §4.2's first-message integration kicks in: the
 larger ``L^max`` floods across, the slow half catches up at rate

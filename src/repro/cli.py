@@ -21,7 +21,8 @@ Commands
     Run a fault-injection scenario (``partition``/``crashes``/``flaky``)
     and report per-fault-epoch skews, message-loss accounting, and the
     time-to-resynchronize after the last fault clears (see
-    ``docs/FAULTS.md``).
+    ``docs/FAULTS.md``).  Exit 0 resynchronized, 1 not resynchronized
+    within the horizon, 2 usage error.
 ``profile``
     Run the adversary suite serially with engine metrics enabled and
     rank hot specs and hot phases (see ``docs/OBSERVABILITY.md``).
@@ -762,7 +763,26 @@ def _fault_scenario(args, topology, params, horizon):
     raise SystemExit(f"unknown fault scenario {args.scenario!r}")
 
 
+def _check_fault_flags(args) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` on a fault flag
+    outside its domain, whichever scenario runs."""
+    from repro.errors import ConfigurationError
+
+    for flag, value, positive in (
+        ("--horizon", args.horizon, True),
+        ("--fault-start", args.fault_start, False),
+        ("--fault-duration", args.fault_duration, False),
+        ("--crash-rate", args.crash_rate, True),
+    ):
+        if value is not None and not (value > 0 if positive else value >= 0):
+            need = "positive" if positive else "non-negative"
+            raise ConfigurationError(f"{flag} must be {need}, got {value:g}")
+    if not 0 <= args.drop < 1:
+        raise ConfigurationError(f"--drop must be in [0, 1), got {args.drop:g}")
+
+
 def _cmd_faults(args) -> int:
+    from repro.errors import ReproError
     from repro.exec.pool import SweepExecutor
     from repro.exec.spec import ExecutionSpec
     from repro.faults import loss_accounting, per_epoch_skew, time_to_resync
@@ -774,7 +794,14 @@ def _cmd_faults(args) -> int:
     if args.byzantine:
         args.scenario = "byzantine"
     horizon = args.horizon if args.horizon is not None else 40 * d * params.delay_bound
-    schedule, drift, description = _fault_scenario(args, topology, params, horizon)
+    try:
+        _check_fault_flags(args)
+        schedule, drift, description = _fault_scenario(
+            args, topology, params, horizon
+        )
+    except ReproError as exc:
+        print(f"repro faults: {exc}", file=sys.stderr)
+        return 2
     algorithm = _build_algorithm(args.algorithm, params, d)
 
     spec = ExecutionSpec(

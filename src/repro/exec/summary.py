@@ -89,30 +89,9 @@ def summarize_trace(
             + time.perf_counter()
             - skew_started
         )
-    violations = tuple(
-        f"{v.monitor}@{v.node!r}/t={v.time}: {v.detail}"
-        for monitor in monitors
-        for v in getattr(monitor, "violations", ())
-    )
-    return ExecutionSummary(
-        label=label,
-        spec_digest=digest,
-        global_skew=global_extremum.value,
-        global_skew_time=global_extremum.time,
-        global_skew_pair=(global_extremum.node_a, global_extremum.node_b),
-        local_skew=local_extremum.value,
-        local_skew_time=local_extremum.time,
-        local_skew_pair=(local_extremum.node_a, local_extremum.node_b),
-        final_spread=trace.spread_at(trace.horizon),
-        total_messages=trace.total_messages(),
-        total_bits=trace.total_bits(),
-        events_processed=trace.events_processed,
-        messages_dropped=trace.messages_dropped,
-        monitor_violations=violations,
-        messages_lost_link=trace.messages_lost_link,
-        messages_lost_crash=trace.messages_lost_crash,
-        messages_duplicated=trace.messages_duplicated,
-        run_metrics=metrics.stripped() if metrics is not None else None,
+    return _build_summary(
+        trace, global_extremum, local_extremum, trace.spread_at(trace.horizon),
+        trace.total_messages(), trace.total_bits(), digest, label, monitors,
     )
 
 
@@ -127,33 +106,45 @@ def summarize_streaming(
     The streaming engine has already folded the exact skew extrema
     (bit-identical to trace evaluation; the engine-parity suite pins
     this), so no skew-eval phase runs here — that is the point of the
-    streaming mode.  Violation formatting and metrics stripping match
-    :func:`summarize_trace` exactly.
+    streaming mode.
     """
+    return _build_summary(
+        result, result.global_skew, result.local_skew, result.final_spread,
+        result.total_messages, result.total_bits, digest, label, monitors,
+    )
+
+
+def _build_summary(
+    run, global_extremum, local_extremum, final_spread,
+    total_messages: int, total_bits: int, digest: str, label: str,
+    monitors: Sequence,
+) -> ExecutionSummary:
+    """The one summary builder: ``run`` is a trace or a streaming result,
+    read only for the counters both carry under the same names."""
     violations = tuple(
         f"{v.monitor}@{v.node!r}/t={v.time}: {v.detail}"
         for monitor in monitors
         for v in getattr(monitor, "violations", ())
     )
-    metrics = result.metrics
+    metrics = run.metrics
     return ExecutionSummary(
         label=label,
         spec_digest=digest,
-        global_skew=result.global_skew.value,
-        global_skew_time=result.global_skew.time,
-        global_skew_pair=(result.global_skew.node_a, result.global_skew.node_b),
-        local_skew=result.local_skew.value,
-        local_skew_time=result.local_skew.time,
-        local_skew_pair=(result.local_skew.node_a, result.local_skew.node_b),
-        final_spread=result.final_spread,
-        total_messages=result.total_messages,
-        total_bits=result.total_bits,
-        events_processed=result.events_processed,
-        messages_dropped=result.messages_dropped,
+        global_skew=global_extremum.value,
+        global_skew_time=global_extremum.time,
+        global_skew_pair=(global_extremum.node_a, global_extremum.node_b),
+        local_skew=local_extremum.value,
+        local_skew_time=local_extremum.time,
+        local_skew_pair=(local_extremum.node_a, local_extremum.node_b),
+        final_spread=final_spread,
+        total_messages=total_messages,
+        total_bits=total_bits,
+        events_processed=run.events_processed,
+        messages_dropped=run.messages_dropped,
         monitor_violations=violations,
-        messages_lost_link=result.messages_lost_link,
-        messages_lost_crash=result.messages_lost_crash,
-        messages_duplicated=result.messages_duplicated,
+        messages_lost_link=run.messages_lost_link,
+        messages_lost_crash=run.messages_lost_crash,
+        messages_duplicated=run.messages_duplicated,
         run_metrics=metrics.stripped() if metrics is not None else None,
     )
 

@@ -29,7 +29,6 @@ __all__ = [
     "EdgeScheduleDelay",
     "DistanceDirectedDelay",
     "LossyDelay",
-    "TimeGatedDelay",
 ]
 
 #: Sentinel return value of :meth:`DelayModel.delay` meaning "drop this
@@ -198,63 +197,6 @@ class DistanceDirectedDelay(DelayModel):
         if self._distances[receiver] == self._distances[sender] - 1:
             return self.toward
         return self.away
-
-
-class TimeGatedDelay(DelayModel):
-    """Links that only become usable at per-edge activation times.
-
-    .. deprecated::
-        Superseded by :class:`repro.topology.dynamic.TopologySchedule`
-        (``edge_appears``), the first-class dynamic-graph model: a
-        schedule is pure data (digest-stable, cacheable, certifiable)
-        and supports disappearance and node churn, whereas this wrapper
-        only *fakes* a late edge by dropping messages.  Constructing one
-        emits a :class:`DeprecationWarning`; it remains functional for
-        existing experiments.
-
-    Supports the "initially unknown topologies" scheme of §4.2 at full
-    strength: the graph handed to the engine is the *eventual* topology,
-    but a message sent over an edge before its activation time is dropped
-    (the link does not exist yet).  Nodes integrate newly reachable
-    neighbors by their first message, exactly as the paper describes —
-    the network-merge experiment (E24) joined two independently
-    initialized components this way before the rewrite on
-    ``TopologySchedule``.  Gating is keyed on the *send* time and applies
-    to both directions of the undirected edge: a reply over a gated
-    bridge is just as blocked as the forward message.
-
-    Parameters
-    ----------
-    inner:
-        Delay model for active links.
-    activation:
-        Mapping from *undirected* edge (any orientation) to activation
-        time; unlisted edges are active from the start.
-    """
-
-    def __init__(self, inner: DelayModel, activation: Mapping[DirectedEdge, float]):
-        import warnings
-
-        warnings.warn(
-            "TimeGatedDelay is deprecated; express edge activation as a "
-            "TopologySchedule (edge_appears) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(inner.max_delay)
-        self.inner = inner
-        self._activation: Dict[DirectedEdge, float] = {}
-        for (u, v), t in activation.items():
-            self._activation[(u, v)] = float(t)
-            self._activation[(v, u)] = float(t)
-
-    def activation_time(self, sender: NodeId, receiver: NodeId) -> float:
-        return self._activation.get((sender, receiver), 0.0)
-
-    def delay(self, sender, receiver, send_time, seq) -> float:
-        if send_time < self.activation_time(sender, receiver):
-            return DROP
-        return self.inner.validated_delay(sender, receiver, send_time, seq)
 
 
 class LossyDelay(DelayModel):

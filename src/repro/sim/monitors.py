@@ -28,8 +28,7 @@ from time import perf_counter
 from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation
-from repro.sim import trace as _trace
-from repro.sim.trace import LogicalClockRecord, SkewExtremum
+from repro.sim.trace import LogicalClockRecord, SkewExtremum, _fold_window
 
 __all__ = [
     "Violation",
@@ -48,14 +47,6 @@ TOLERANCE = 1e-7
 
 #: Evaluation cells (nodes × instants) one streaming flush may hold.
 FLUSH_CELLS = 16384
-
-#: Window size from which a streaming flush evaluates through numpy.
-VECTOR_MIN_INSTANTS = 64
-
-#: Window size from which a pure-Python flush uses the batched sweeps;
-#: below it the scalar methods' bisects cost less than the sweeps'
-#: per-call set-up (measured crossover: 3 to 4 instants).
-SWEEP_MIN_INSTANTS = 4
 
 
 @dataclass(frozen=True)
@@ -175,13 +166,11 @@ class StreamingSkewTracker:
     the event frontier off the heap — an instant is final once popped —
     into a pending window with the nodes that own it.  A full window
     (:attr:`window_instants` instants, ``max(1, 16384 // nodes)``) and
-    the horizon endpoint in :meth:`finalize` are *flushed*: one
-    right-value and one left-limit column per record over the window's
-    instants, through the numpy kernel trace mode uses
-    (``_vector_values``) from :data:`VECTOR_MIN_INSTANTS` instants on,
-    else in pure Python (the ``values_at`` / ``values_left_at`` sweeps
-    from :data:`SWEEP_MIN_INSTANTS` instants on, ``value`` /
-    ``value_left`` below), then the same ordered fold as above.
+    the horizon endpoint in :meth:`finalize` are *flushed* through
+    ``repro.sim.trace._fold_window``, the one skew fold trace mode's
+    ``global_skew`` and ``max_pair_skew`` run too (numpy, sweeps or
+    per-instant methods, chosen by window size); the window's winners
+    then merge into the running bests with strict ``>``.
     Deferring evaluation is exact: every later checkpoint lands at or
     after the event frontier, past every pending instant, so the
     segments a pending instant reads never change.
@@ -350,11 +339,18 @@ class StreamingSkewTracker:
             for e in edge_ids:
                 pair_edges.append(e)
                 pair_instants.append(k)
-        np = _trace._np
-        if np is not None and len(ts) >= VECTOR_MIN_INSTANTS:
-            self._fold_vector(np, ts, pair_edges, pair_instants)
-        else:
-            self._fold_scalar(ts, pair_edges, pair_instants)
+        spread, k, hi, lo, winners = _fold_window(
+            self._records, ts, pair_edges, pair_instants, self._edge_idx
+        )
+        # A window's first winner beats the running best only if strictly
+        # larger: the same result as one strict > scan across windows.
+        if spread > self._best_value:
+            self._best_value, self._best_time = spread, ts[k]
+            self._best_hi, self._best_lo = hi, lo
+        edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
+        for e, (value, at) in winners.items():
+            if value > edge_best_v[e]:
+                edge_best_v[e], edge_best_t[e] = value, ts[at]
         if self._prune:
             last = ts[-1]
             records = self._records
@@ -365,104 +361,6 @@ class StreamingSkewTracker:
         self._window_owners = []
         self._window_all_edges = []
         self.fold_seconds += perf_counter() - started
-
-    def _fold_vector(
-        self, np, ts: List[float], pair_edges: List[int], pair_instants: List[int]
-    ) -> None:
-        """The window fold over numpy columns (bit-identical to scalar).
-
-        Column max/min select floats without rounding, and argmax and
-        the slot-ordered lexsort keep the first of equal maxima, so the
-        winners are those of the strict ``>`` scan over the same ordered
-        sequence that :meth:`_fold_scalar` runs.
-        """
-        times = np.asarray(ts)
-        n_inst = len(ts)
-        rights = np.zeros((len(self._records), n_inst))
-        lefts = np.zeros((len(self._records), n_inst))
-        for row, record in enumerate(self._records):
-            if record is not None:
-                rights[row], lefts[row] = _trace._vector_values(record, times)
-        spreads = np.empty(2 * n_inst)
-        spreads[0::2] = rights.max(axis=0) - rights.min(axis=0)
-        spreads[1::2] = lefts.max(axis=0) - lefts.min(axis=0)
-        k = int(spreads.argmax())
-        if spreads[k] > self._best_value:
-            column = (rights if k % 2 == 0 else lefts)[:, k >> 1]
-            self._best_value = float(spreads[k])
-            self._best_time = ts[k >> 1]
-            self._best_hi = int(column.argmax())
-            self._best_lo = int(column.argmin())
-        if not pair_edges:
-            return
-        instants = np.asarray(pair_instants)
-        ends = np.asarray(self._edge_idx)[pair_edges]
-        a, b = ends[:, 0], ends[:, 1]
-        # Slot 2p is pair p's right-value skew, slot 2p+1 its left limit.
-        magnitudes = np.empty(2 * len(pair_edges))
-        magnitudes[0::2] = np.abs(rights[a, instants] - rights[b, instants])
-        magnitudes[1::2] = np.abs(lefts[a, instants] - lefts[b, instants])
-        slot_edges = np.repeat(np.asarray(pair_edges), 2)
-        # Sorted by edge, then largest magnitude, then earliest slot: the
-        # head of each edge's group is the winner of its strict > scan.
-        order = np.lexsort((np.arange(len(slot_edges)), -magnitudes, slot_edges))
-        heads = order[np.flatnonzero(np.diff(slot_edges[order], prepend=-1))]
-        edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
-        for e, value, slot in zip(
-            slot_edges[heads].tolist(), magnitudes[heads].tolist(), heads.tolist()
-        ):
-            if value > edge_best_v[e]:
-                edge_best_v[e] = value
-                edge_best_t[e] = ts[pair_instants[slot >> 1]]
-
-    def _fold_scalar(
-        self, ts: List[float], pair_edges: List[int], pair_instants: List[int]
-    ) -> None:
-        """The window fold over pure-Python column sweeps."""
-        n_inst = len(ts)
-        records = self._records
-        # Flat row-major columns: record r's value at ts[k] sits at
-        # r * n_inst + k.
-        rights: List[float] = []
-        lefts: List[float] = []
-        zeros = [0.0] * n_inst
-        sweep = n_inst >= SWEEP_MIN_INSTANTS
-        for record in records:
-            if record is None:
-                rights += zeros
-                lefts += zeros
-            elif sweep:
-                hw_values = record.hardware.values_at(ts)
-                rights += record.values_at(ts, _hw_values=hw_values)
-                lefts += record.values_left_at(ts, _hw_values=hw_values)
-            else:
-                # Right then left at each instant: the left limit reuses
-                # the hardware clock's memoised value.
-                for t in ts:
-                    rights.append(record.value(t))
-                    lefts.append(record.value_left(t))
-        best_value = self._best_value
-        for k in range(n_inst):
-            for flat in (rights, lefts):
-                values = flat[k::n_inst]
-                top = max(values)
-                bottom = min(values)
-                spread = top - bottom
-                if spread > best_value:
-                    best_value = spread
-                    self._best_time = ts[k]
-                    self._best_hi = values.index(top)
-                    self._best_lo = values.index(bottom)
-        self._best_value = best_value
-        edge_idx = self._edge_idx
-        edge_best_v, edge_best_t = self._edge_best_v, self._edge_best_t
-        for e, k in zip(pair_edges, pair_instants):
-            ia, ib = edge_idx[e]
-            ia, ib = ia * n_inst + k, ib * n_inst + k
-            for flat in (rights, lefts):
-                magnitude = abs(flat[ia] - flat[ib])
-                if magnitude > edge_best_v[e]:
-                    edge_best_v[e], edge_best_t[e] = magnitude, ts[k]
 
     # -- results -------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceError
 from repro.obs.metrics import RunMetrics
@@ -36,11 +36,13 @@ try:  # numpy is optional; every result below is identical without it.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-#: Minimum evaluation-point count before skew extrema switch from the
-#: pure-Python pointer sweeps to the vectorized path.  Small problems stay
-#: scalar (array setup costs more than it saves), which also keeps both
-#: paths continuously exercised by the test suite.
-_VECTOR_MIN_POINTS = 512
+#: Window size (instants) from which the skew fold evaluates through numpy.
+VECTOR_MIN_INSTANTS = 64
+
+#: Window size from which the pure-Python fold uses the batched sweeps;
+#: below it the scalar methods' bisects cost less than the sweeps'
+#: per-call set-up (measured crossover: 3 to 4 instants).
+SWEEP_MIN_INSTANTS = 4
 
 __all__ = [
     "LogicalClockRecord",
@@ -344,18 +346,6 @@ class LogicalClockRecord:
         return self._count
 
 
-def _vector_eligible(records: Iterable[LogicalClockRecord], n_points: int) -> bool:
-    """Whether the numpy evaluation path applies (never changes results).
-
-    Requires numpy, enough points to amortize array setup, and unpruned
-    records; a pruned record (only streaming runs prune) takes the
-    scalar sweeps here.
-    """
-    if _np is None or n_points < _VECTOR_MIN_POINTS:
-        return False
-    return all(rec._times[0] == rec._start for rec in records)
-
-
 def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     """``(right, left)`` value arrays of ``record`` at ascending ``ts``.
 
@@ -402,6 +392,121 @@ def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
     left = values[i] + multipliers[i] * (hw_values - anchors[i])
     left[ts <= start] = 0.0
     return right, left
+
+
+def _fold_window(
+    records: Sequence[Optional[LogicalClockRecord]],
+    ts: List[float],
+    pair_edges: Sequence[int] = (),
+    pair_instants: Sequence[int] = (),
+    edge_ends: Sequence[Tuple[int, int]] = (),
+):
+    """The exact skew fold over one window of ascending instants ``ts``.
+
+    Every exact extremum goes through here, in trace and streaming mode
+    alike.  One right-value and one left-limit column is evaluated per
+    record (a ``None`` record, a node not yet started, reads 0.0), then
+    folded in the exactness-contract order: ascending instants, the
+    right value before the left limit at each, strict ``>``, first
+    arg-max wins.
+
+    Returns ``(spread, k, hi, lo, winners)``: the window's largest
+    spread ``max_r L_r − min_r L_r``, the index into ``ts`` of its
+    instant, and the record indices of its arg-max and arg-min.
+    ``winners`` maps each edge ``e`` listed in ``pair_edges`` to the
+    ``(value, k)`` of its largest ``|L_a − L_b|``, ``(a, b) =
+    edge_ends[e]``, over the slots ``pair_instants`` lists for it.
+
+    Columns come from ``_vector_values`` from :data:`VECTOR_MIN_INSTANTS`
+    instants on (numpy installed), else from the ``values_at`` /
+    ``values_left_at`` sweeps from :data:`SWEEP_MIN_INSTANTS` on, else
+    from ``value`` / ``value_left`` per instant.  All three compute the
+    same floats, and both folds below pick the same winners.
+    """
+    n_inst = len(ts)
+    if _np is not None and n_inst >= VECTOR_MIN_INSTANTS:
+        times = _np.asarray(ts)
+        rights = _np.zeros((len(records), n_inst))
+        lefts = _np.zeros((len(records), n_inst))
+        for row, record in enumerate(records):
+            if record is not None:
+                rights[row], lefts[row] = _vector_values(record, times)
+        # Column max/min select floats without rounding, so the spreads
+        # are the differences the pure-Python fold computes; argmax over
+        # the right/left interleaving keeps the first of equal maxima.
+        spreads = _np.empty(2 * n_inst)
+        spreads[0::2] = rights.max(axis=0) - rights.min(axis=0)
+        spreads[1::2] = lefts.max(axis=0) - lefts.min(axis=0)
+        k = int(spreads.argmax())
+        column = (rights if k % 2 == 0 else lefts)[:, k >> 1]
+        winners: Dict[int, Tuple[float, int]] = {}
+        if pair_edges:
+            instants = _np.asarray(pair_instants)
+            ends = _np.asarray(edge_ends)[pair_edges]
+            a, b = ends[:, 0], ends[:, 1]
+            # Slot 2p is pair p's right-value skew, slot 2p+1 its left limit.
+            magnitudes = _np.empty(2 * len(pair_edges))
+            magnitudes[0::2] = _np.abs(rights[a, instants] - rights[b, instants])
+            magnitudes[1::2] = _np.abs(lefts[a, instants] - lefts[b, instants])
+            slot_edges = _np.repeat(_np.asarray(pair_edges), 2)
+            # Sorted by edge, then largest magnitude, then earliest slot:
+            # the head of each edge's group wins its strict > scan.
+            order = _np.lexsort(
+                (_np.arange(len(slot_edges)), -magnitudes, slot_edges)
+            )
+            heads = order[_np.flatnonzero(_np.diff(slot_edges[order], prepend=-1))]
+            for e, value, slot in zip(
+                slot_edges[heads].tolist(), magnitudes[heads].tolist(), heads.tolist()
+            ):
+                winners[e] = (value, pair_instants[slot >> 1])
+        return (
+            float(spreads[k]), k >> 1,
+            int(column.argmax()), int(column.argmin()), winners,
+        )
+    # Flat row-major columns: record r's value at ts[k] sits at r * n_inst + k.
+    rights_flat: List[float] = []
+    lefts_flat: List[float] = []
+    zeros = [0.0] * n_inst
+    sweep = n_inst >= SWEEP_MIN_INSTANTS
+    for record in records:
+        if record is None:
+            rights_flat += zeros
+            lefts_flat += zeros
+        elif sweep:
+            hw_values = record.hardware.values_at(ts)
+            rights_flat += record.values_at(ts, _hw_values=hw_values)
+            lefts_flat += record.values_left_at(ts, _hw_values=hw_values)
+        else:
+            # Right then left at each instant: the left limit reuses the
+            # hardware clock's memoised value.
+            for t in ts:
+                rights_flat.append(record.value(t))
+                lefts_flat.append(record.value_left(t))
+    best = (-1.0, 0, 0, 0)
+    for k in range(n_inst):
+        for flat in (rights_flat, lefts_flat):
+            values = flat[k::n_inst]
+            # max()/min() return the floats of the first-arg-max scan, and
+            # .index() recovers the same (first) extremal record.
+            top = max(values)
+            bottom = min(values)
+            spread = top - bottom
+            if spread > best[0]:
+                best = (spread, k, values.index(top), values.index(bottom))
+    winners = {}
+    for e, k in zip(pair_edges, pair_instants):
+        a, b = edge_ends[e]
+        a, b = a * n_inst + k, b * n_inst + k
+        # The right value and left limit share the instant, so the slot
+        # offers the larger of the two; a later slot must beat it strictly.
+        magnitude = abs(rights_flat[a] - rights_flat[b])
+        left = abs(lefts_flat[a] - lefts_flat[b])
+        if left > magnitude:
+            magnitude = left
+        held = winners.get(e)
+        if held is None or magnitude > held[0]:
+            winners[e] = (magnitude, k)
+    return best + (winners,)
 
 
 @dataclass(frozen=True)
@@ -498,39 +603,17 @@ class ExecutionTrace:
     def max_pair_skew(
         self, a: NodeId, b: NodeId, t0: Optional[float] = None, t1: Optional[float] = None
     ) -> SkewExtremum:
-        """Exact maximum of ``|L_a − L_b|`` over ``[t0, t1]``."""
+        """Exact maximum of ``|L_a − L_b|`` over ``[t0, t1]``.
+
+        The spread of two clocks is ``|L_a − L_b|`` bit for bit (IEEE-754
+        subtraction is antisymmetric), so this is the global fold over
+        the pair's own breakpoints.
+        """
         t0 = 0.0 if t0 is None else t0
         t1 = self.horizon if t1 is None else t1
-        rec_a, rec_b = self.logical[a], self.logical[b]
         points = self._pair_eval_points(a, b, t0, t1)
-        if _vector_eligible((rec_a, rec_b), len(points)):
-            ts = _np.asarray(points)
-            a_right, a_left = _vector_values(rec_a, ts)
-            b_right, b_left = _vector_values(rec_b, ts)
-            magnitudes = _np.empty(2 * len(points))
-            magnitudes[0::2] = _np.abs(a_right - b_right)
-            magnitudes[1::2] = _np.abs(a_left - b_left)
-            # argmax picks the first occurrence of the maximum — the same
-            # winner as the strict > scan over the right/left interleaving.
-            k = int(magnitudes.argmax())
-            return SkewExtremum(float(magnitudes[k]), points[k >> 1], a, b)
-        hw_a = rec_a.hardware.values_at(points)
-        hw_b = rec_b.hardware.values_at(points)
-        a_right = rec_a.values_at(points, _hw_values=hw_a)
-        b_right = rec_b.values_at(points, _hw_values=hw_b)
-        a_left = rec_a.values_left_at(points, _hw_values=hw_a)
-        b_left = rec_b.values_left_at(points, _hw_values=hw_b)
-        best_value, best_time = -1.0, t0
-        # Right value first, then the left limit — the same order (and the
-        # same strict > tie-breaking) as per-point evaluation.
-        for t, va, vb, la, lb in zip(points, a_right, b_right, a_left, b_left):
-            magnitude = abs(va - vb)
-            if magnitude > best_value:
-                best_value, best_time = magnitude, t
-            magnitude = abs(la - lb)
-            if magnitude > best_value:
-                best_value, best_time = magnitude, t
-        return SkewExtremum(best_value, best_time, a, b)
+        value, k, _, _, _ = _fold_window((self.logical[a], self.logical[b]), points)
+        return SkewExtremum(value, points[k], a, b)
 
     def global_skew(
         self, t0: Optional[float] = None, t1: Optional[float] = None
@@ -547,57 +630,8 @@ class ExecutionTrace:
             points.update(rec.breakpoints_in(t0, t1))
         eval_points = sorted(points)
         nodes = list(self.logical)
-        if _vector_eligible(self.logical.values(), len(eval_points)):
-            ts = _np.asarray(eval_points)
-            n_points = len(eval_points)
-            rights = _np.empty((len(nodes), n_points))
-            lefts = _np.empty((len(nodes), n_points))
-            for row, node in enumerate(nodes):
-                rights[row], lefts[row] = _vector_values(self.logical[node], ts)
-            # Column max/min select floats without rounding, so the spreads
-            # are the identical differences the scalar fold computes; the
-            # interleaved argmax (right before left at each t) and the
-            # per-column argmax/argmin reproduce its first-winner ties.
-            spreads = _np.empty(2 * n_points)
-            spreads[0::2] = rights.max(axis=0) - rights.min(axis=0)
-            spreads[1::2] = lefts.max(axis=0) - lefts.min(axis=0)
-            k = int(spreads.argmax())
-            column = (rights if k % 2 == 0 else lefts)[:, k >> 1]
-            return SkewExtremum(
-                float(spreads[k]),
-                eval_points[k >> 1],
-                nodes[int(column.argmax())],
-                nodes[int(column.argmin())],
-            )
-        # One batched column per node (right values and left limits share
-        # the hardware sweep), then fold row by row.  Same expressions,
-        # same right-then-left order, same strict > and first-arg-max
-        # tie-breaking as per-point evaluation — bit-identical extrema.
-        cols_right: List[List[float]] = []
-        cols_left: List[List[float]] = []
-        for n in nodes:
-            rec = self.logical[n]
-            hw_values = rec.hardware.values_at(eval_points)
-            cols_right.append(rec.values_at(eval_points, _hw_values=hw_values))
-            cols_left.append(
-                rec.values_left_at(eval_points, _hw_values=hw_values)
-            )
-        best = SkewExtremum(-1.0, t0, None, None)
-        for k, rows in enumerate(zip(zip(*cols_right), zip(*cols_left))):
-            t = eval_points[k]
-            for values in rows:
-                # max()/min() return the same floats as the first-arg-max
-                # scan, and .index() recovers the same (first) extremal
-                # node — only reached on a strict improvement.
-                top = max(values)
-                bottom = min(values)
-                spread = top - bottom
-                if spread > best.value:
-                    best = SkewExtremum(
-                        spread, t,
-                        nodes[values.index(top)], nodes[values.index(bottom)],
-                    )
-        return best
+        value, k, hi, lo, _ = _fold_window(list(self.logical.values()), eval_points)
+        return SkewExtremum(value, eval_points[k], nodes[hi], nodes[lo])
 
     def local_skew(
         self, t0: Optional[float] = None, t1: Optional[float] = None

@@ -193,3 +193,35 @@ class TestCampaignFlagValidation:
         ])
         assert code == 2
         assert "lease_ttl must be positive" in capsys.readouterr().err
+
+
+class TestFaultsFlagValidation:
+    """Bad ``faults`` flags are usage errors (exit 2), never the exit 1
+    that means "NOT resynchronized"."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scenario", "flaky", "--drop", "1.0"], "--drop must be in [0, 1)"),
+            (["--drop", "1.0"], "--drop must be in [0, 1)"),
+            (["--scenario", "crashes", "--crash-rate", "-1"],
+             "--crash-rate must be positive"),
+            (["--fault-start", "-3"], "--fault-start must be non-negative"),
+            (["--fault-duration", "-5"], "--fault-duration must be non-negative"),
+            (["--horizon", "-1"], "--horizon must be positive"),
+            (["--horizon", "0"], "--horizon must be positive"),
+            (["--scenario", "flaky", "--duplicate", "1.5"],
+             "duplicate_probability must be in [0, 1)"),
+            (["--scenario", "crashes", "--mean-downtime", "0"],
+             "mean_downtime must be positive"),
+        ],
+        ids=["drop-flaky", "drop-partition", "crash-rate", "fault-start",
+             "fault-duration", "negative-horizon", "zero-horizon",
+             "duplicate", "mean-downtime"],
+    )
+    def test_bad_fault_flags_exit_2(self, flags, message, capsys):
+        assert main(["faults", "--nodes", "6", "--no-cache"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro faults: ")
+        assert message in err
+        assert "Traceback" not in err

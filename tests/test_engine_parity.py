@@ -34,6 +34,7 @@ import pickle
 
 import pytest
 
+from repro.baselines.max_forward import MaxForwardAlgorithm
 from repro.cert.fuzzer import sample_scenario
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
@@ -41,6 +42,7 @@ from repro.exec.spec import ExecutionSpec
 from repro.exec.summary import summarize_streaming, summarize_trace
 from repro.sim.reference import ReferenceSimulationEngine
 from repro.sim.runner import run_execution, run_execution_streaming
+from repro.sim.trace import SkewExtremum
 from repro.sim.drift import RandomWalkDrift, TwoGroupDrift
 from repro.sim.delays import ConstantDelay, UniformDelay
 from repro.topology.generators import grid, line
@@ -318,29 +320,71 @@ class TestByzantineChurnParity:
         )
 
 
+#: Patches of ``repro.sim.trace`` that send every window of the skew
+#: fold down one evaluation path.
+FOLD_PATHS = {
+    "numpy": {"VECTOR_MIN_INSTANTS": 1},
+    "sweeps": {"_np": None, "SWEEP_MIN_INSTANTS": 1},
+    "per-instant": {"_np": None, "SWEEP_MIN_INSTANTS": float("inf")},
+}
+
+
+def _fold_path(monkeypatch, path):
+    import repro.sim.trace as trace_mod
+
+    if path == "numpy":
+        pytest.importorskip("numpy")
+    for name, value in FOLD_PATHS[path].items():
+        monkeypatch.setattr(trace_mod, name, value)
+
+
+def _scan_oracle(records, ts):
+    """``(spread, t, hi, lo)`` by the contract's scan, one instant at a time."""
+    best = (-1.0, None, None, None)
+    for t in ts:
+        for column in (
+            [rec.value(t) for rec in records],
+            [rec.value_left(t) for rec in records],
+        ):
+            spread = max(column) - min(column)
+            if spread > best[0]:
+                best = (
+                    spread, t,
+                    column.index(max(column)), column.index(min(column)),
+                )
+    return best
+
+
 class TestVectorScalarParity:
-    """The optional numpy skew path must equal the scalar sweeps bit-for-bit.
+    """Every path of the skew fold must equal the others bit-for-bit.
 
     Every numpy step is the same sequence of correctly-rounded float64
     operations applied elementwise (no reductions that reorder rounding),
     so this is an equality assertion, not an approximation.
     """
 
-    def _trace(self):
+    def _trace(self, algorithm="aopt"):
         drift = TwoGroupDrift(0.05, list(range(8)))
         delay = UniformDelay(0.0, 1.0, seed=5)
-        return run_execution(
-            line(16), AoptAlgorithm(PARAMS), drift, delay, 150.0
+        # max-forward jumps, so its left limits differ from its values.
+        chosen = (
+            AoptAlgorithm(PARAMS) if algorithm == "aopt"
+            else MaxForwardAlgorithm(1.0)
         )
+        return run_execution(line(16), chosen, drift, delay, 150.0)
+
+    def _points(self, trace, nodes):
+        points = {0.0, trace.horizon}
+        for node in nodes:
+            points.update(trace.logical[node].breakpoints_in(0.0, trace.horizon))
+        return sorted(points)
 
     def test_global_and_local_skew_match_forced_scalar(self, monkeypatch):
         import repro.sim.trace as trace_mod
 
         trace = self._trace()
-        points = {0.0, trace.horizon}
-        for rec in trace.logical.values():
-            points.update(rec.breakpoints_in(0.0, trace.horizon))
-        assert len(points) >= trace_mod._VECTOR_MIN_POINTS, (
+        points = self._points(trace, trace.logical)
+        assert len(points) >= trace_mod.VECTOR_MIN_INSTANTS, (
             "config too small to exercise the vector path"
         )
         vector_global = trace.global_skew()
@@ -350,6 +394,49 @@ class TestVectorScalarParity:
         scalar_local = trace.local_skew()
         assert pickle.dumps(vector_global) == pickle.dumps(scalar_global)
         assert pickle.dumps(vector_local) == pickle.dumps(scalar_local)
+
+    @pytest.mark.parametrize("algorithm", ["aopt", "max-forward"])
+    @pytest.mark.parametrize("path", sorted(FOLD_PATHS))
+    def test_each_path_matches_default(self, monkeypatch, path, algorithm):
+        trace = self._trace(algorithm)
+        default = (trace.global_skew(), trace.local_skew())
+        _fold_path(monkeypatch, path)
+        forced = (trace.global_skew(), trace.local_skew())
+        assert pickle.dumps(forced) == pickle.dumps(default)
+
+    @pytest.mark.parametrize("path", sorted(FOLD_PATHS))
+    @pytest.mark.parametrize("n_instants", [1, 2, 3])
+    def test_short_windows_match_scan(self, monkeypatch, path, n_instants):
+        """One to three instants (the per-instant path by default), from
+        a jump of node 3, where a left limit is not the value."""
+        trace = self._trace("max-forward")
+        _fold_path(monkeypatch, path)
+        nodes = list(trace.logical)
+        records = [trace.logical[node] for node in nodes]
+        points = self._points(trace, nodes)
+        jumps = trace.logical[3].jump_times
+        for t0 in (jumps[0], jumps[len(jumps) // 2], points[-n_instants]):
+            i = points.index(t0)
+            window = points[i : i + n_instants]
+            value, t, hi, lo = _scan_oracle(records, window)
+            extremum = trace.global_skew(window[0], window[-1])
+            assert pickle.dumps(extremum) == pickle.dumps(
+                SkewExtremum(value, t, nodes[hi], nodes[lo])
+            )
+        a, b = trace.logical[3], trace.logical[4]
+        pair_points = self._points(trace, (3, 4))
+        for t0 in (jumps[0], jumps[len(jumps) // 2], pair_points[-n_instants]):
+            i = pair_points.index(t0)
+            window = pair_points[i : i + n_instants]
+            value, t = -1.0, None
+            for u in window:
+                for skew in (a.value(u) - b.value(u), a.value_left(u) - b.value_left(u)):
+                    if abs(skew) > value:
+                        value, t = abs(skew), u
+            extremum = trace.max_pair_skew(3, 4, window[0], window[-1])
+            assert pickle.dumps(extremum) == pickle.dumps(
+                SkewExtremum(value, t, 3, 4)
+            )
 
     def test_vector_results_are_plain_floats(self):
         # np.float64 leaking into a summary would change pickles and JSON

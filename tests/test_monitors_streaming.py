@@ -279,9 +279,9 @@ def _assert_matches_oracle(tracker, trace, topology):
 
 #: ``(window instants, numpy threshold)`` per fold path under test.
 WINDOW_CONFIGS = {
-    "one-instant": (1, monitors_mod.VECTOR_MIN_INSTANTS),
-    "scalar-windows": (3, monitors_mod.VECTOR_MIN_INSTANTS),
-    "python-windows": (5, monitors_mod.VECTOR_MIN_INSTANTS),
+    "one-instant": (1, trace_mod.VECTOR_MIN_INSTANTS),
+    "scalar-windows": (3, trace_mod.VECTOR_MIN_INSTANTS),
+    "python-windows": (5, trace_mod.VECTOR_MIN_INSTANTS),
     "numpy-windows": (6, 1),
     "numpy-one-window": (10_000, 1),
 }
@@ -295,7 +295,7 @@ class TestWindowedFold:
         topology = line(n_nodes)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monitors_mod, "FLUSH_CELLS", window * n_nodes)
-            patch.setattr(monitors_mod, "VECTOR_MIN_INSTANTS", vector_min)
+            patch.setattr(trace_mod, "VECTOR_MIN_INSTANTS", vector_min)
             # Prune at every flush, so windows read truly pruned records.
             patch.setattr(LogicalClockRecord, "PRUNE_BATCH", 1)
             if numpy_off:
@@ -338,7 +338,7 @@ class TestWindowedFold:
         topology = line(2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monitors_mod, "FLUSH_CELLS", window * 2)
-            patch.setattr(monitors_mod, "VECTOR_MIN_INSTANTS", vector_min)
+            patch.setattr(trace_mod, "VECTOR_MIN_INSTANTS", vector_min)
             tracker = _drive_tracker(ensemble, topology, prune=True)
         trace = _build_oracle_trace(ensemble, topology)
         assert trace.local_skew().time == 0.5

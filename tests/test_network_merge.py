@@ -6,14 +6,9 @@ unrelated ``L^max`` maxima; A^opt must integrate the new neighbors via
 their first messages, flood the larger maximum across, and reconcile the
 skew at the catch-up rate.
 
-The merge is expressed both ways — as a first-class
-:class:`~repro.topology.dynamic.TopologySchedule` (``edge_appears``, the
-real model) and through the deprecated :class:`TimeGatedDelay`
-message-dropping workaround it replaced — and every merge property must
-hold identically under either mechanism.
+The merge is expressed as a first-class
+:class:`~repro.topology.dynamic.TopologySchedule` (``edge_appears``).
 """
-
-import warnings
 
 import pytest
 
@@ -22,7 +17,7 @@ from repro.analysis.timeseries import convergence_time, spread_series
 from repro.core.bounds import global_skew_bound
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
-from repro.sim.delays import DROP, ConstantDelay, TimeGatedDelay
+from repro.sim.delays import ConstantDelay
 from repro.sim.drift import PerNodeDrift
 from repro.sim.engine import SimulationEngine
 from repro.topology.dynamic import TopologySchedule
@@ -36,90 +31,47 @@ N = 8
 BRIDGE = (3, 4)
 JOIN_TIME = 80.0
 
+#: Spread at the join and settle time of the same merge run through the
+#: retired ``TimeGatedDelay`` message-dropping wrapper (E24's historical
+#: curve); the schedule model must reproduce them.
+GATED_GAP = 10.849999999999994
+GATED_SETTLE = 87.71929824561403
 
-def _gated_delay(activation):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return TimeGatedDelay(ConstantDelay(DELAY), activation)
 
-
-def merge_execution(params, mechanism, horizon=300.0):
+def merge_execution(params, horizon=300.0):
     # Left half runs fast, right half slow: before the merge the halves'
     # maxima diverge at ~2*eps per unit time.
     drift = PerNodeDrift(
         EPSILON, {u: 1 + EPSILON for u in range(4)}, default=1 - EPSILON
     )
-    delay = ConstantDelay(DELAY)
-    schedule = None
-    if mechanism == "schedule":
-        schedule = TopologySchedule().edge_appears(*BRIDGE, at=JOIN_TIME)
-    else:
-        delay = _gated_delay({BRIDGE: JOIN_TIME})
     engine = SimulationEngine(
         line(N),
         AoptAlgorithm(params),
         drift,
-        delay,
+        ConstantDelay(DELAY),
         horizon,
         initiators=[0, 7],
-        topology_schedule=schedule,
+        topology_schedule=TopologySchedule().edge_appears(*BRIDGE, at=JOIN_TIME),
     )
     return engine, engine.run()
 
 
-@pytest.fixture(scope="module", params=["schedule", "gated-delay"])
+@pytest.fixture(scope="module", params=["schedule"])
 def merged(request):
     params = SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY)
-    engine, trace = merge_execution(params, request.param)
-    return params, engine, trace, request.param
-
-
-class TestTimeGatedDelay:
-    def test_construction_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="TopologySchedule"):
-            TimeGatedDelay(ConstantDelay(0.5), {(1, 2): 10.0})
-
-    def test_gated_edge_drops_before_activation(self):
-        model = _gated_delay({(1, 2): 10.0})
-        assert model.delay(1, 2, 5.0, 0) == DROP
-        assert model.delay(2, 1, 5.0, 0) == DROP  # both orientations
-        assert model.delay(1, 2, 10.0, 0) == DELAY
-
-    def test_unlisted_edges_always_active(self):
-        model = _gated_delay({(1, 2): 10.0})
-        assert model.delay(0, 1, 0.0, 0) == DELAY
-
-    def test_reply_over_gated_bridge_blocked_in_engine(self):
-        """Engine-level regression for directional gating: the gate is
-        keyed on one orientation of the bridge, yet *both* the forward
-        message and any reply sent before the join time must be dropped
-        — neither endpoint may learn of the other early."""
-        params = SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY)
-        engine, trace = merge_execution(params, "gated-delay", horizon=JOIN_TIME)
-        # Both sides broadcast throughout (so replies were attempted in
-        # both directions), every bridge crossing was dropped, and
-        # neither bridge endpoint holds an estimate for the other.
-        assert trace.messages_dropped > 0
-        for node, other in (BRIDGE, BRIDGE[::-1]):
-            state = engine.node_state(node)
-            hw = trace.hardware_value(node, trace.horizon)
-            assert state.estimate_of(other, hw) is None
+    engine, trace = merge_execution(params)
+    return params, engine, trace
 
 
 class TestMerge:
     def test_halves_independent_before_join(self, merged):
-        _params, _engine, trace, mechanism = merged
+        _params, _engine, trace = merged
         # No message crossed the bridge before the join: every attempted
-        # crossing is accounted as a drop (the counter depends on the
-        # mechanism — the schedule models a non-existent edge, the gated
-        # delay a dropped message).
-        if mechanism == "schedule":
-            assert trace.messages_lost_link > 0
-        else:
-            assert trace.messages_dropped > 0
+        # crossing is accounted as lost on a non-existent link.
+        assert trace.messages_lost_link > 0
 
     def test_components_diverge_then_reconcile(self, merged):
-        params, _engine, trace, _mechanism = merged
+        params, _engine, trace = merged
         # Just before the join the halves have drifted far apart.
         assert trace.spread_at(JOIN_TIME) > 2 * EPSILON * JOIN_TIME * 0.8
         # Long after the join, the spread obeys the connected-graph bound.
@@ -129,7 +81,7 @@ class TestMerge:
     def test_reconciliation_speed(self, merged):
         """The slow side catches up at rate ~mu: settle time after the
         join is about (pre-join spread)/((1-eps)*mu) plus propagation."""
-        params, _engine, trace, _mechanism = merged
+        params, _engine, trace = merged
         gap = trace.spread_at(JOIN_TIME)
         series = spread_series(trace, JOIN_TIME, trace.horizon, samples=400)
         bound = global_skew_bound(params, N - 1)
@@ -139,32 +91,28 @@ class TestMerge:
         assert settle <= expected + 20.0
 
     def test_envelope_through_merge(self, merged):
-        params, _engine, trace, _mechanism = merged
+        params, _engine, trace = merged
         assert check_envelope(trace, EPSILON) <= 1e-7
 
     def test_neighbors_integrated_by_first_message(self, merged):
-        _params, engine, trace, _mechanism = merged
+        _params, engine, trace = merged
         left_of_bridge = engine.node_state(BRIDGE[0])
         hw = trace.hardware_value(BRIDGE[0], trace.horizon)
         # After the merge, node 3 holds an estimate for node 4.
         assert left_of_bridge.estimate_of(BRIDGE[1], hw) is not None
 
     def test_mechanisms_agree_on_settle_time(self):
-        """The TopologySchedule path reproduces E24's settle curve: both
-        mechanisms yield the same gap at join and settle times within a
-        sampling tolerance of each other."""
+        """The TopologySchedule path reproduces E24's settle curve: the
+        same gap at join as the gated-delay mechanism recorded, and a
+        settle time within a sampling tolerance of its settle time."""
         params = SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY)
         bound = global_skew_bound(params, N - 1)
-        settles, gaps = {}, {}
-        for mechanism in ("schedule", "gated-delay"):
-            _engine, trace = merge_execution(params, mechanism)
-            series = spread_series(trace, JOIN_TIME, trace.horizon, samples=400)
-            settle = convergence_time(series, threshold=bound)
-            assert settle is not None
-            settles[mechanism] = settle
-            gaps[mechanism] = trace.spread_at(JOIN_TIME)
+        _engine, trace = merge_execution(params)
+        series = spread_series(trace, JOIN_TIME, trace.horizon, samples=400)
+        settle = convergence_time(series, threshold=bound)
+        assert settle is not None
         # Identical divergence while separated (nothing crossed either
         # way), and settle times within a sampling step of each other.
-        assert gaps["schedule"] == pytest.approx(gaps["gated-delay"])
+        assert trace.spread_at(JOIN_TIME) == pytest.approx(GATED_GAP)
         step = (300.0 - JOIN_TIME) / 400
-        assert abs(settles["schedule"] - settles["gated-delay"]) <= 2 * step
+        assert abs(settle - GATED_SETTLE) <= 2 * step

@@ -19,6 +19,10 @@ from repro.sim.drift import RandomWalkDrift
 from repro.sim.runner import run_execution
 from repro.topology.generators import line, ring
 
+# The dense-sampling oracles here check the one skew fold independently,
+# so they run with the engine-parity suite (`make test-parity`).
+pytestmark = pytest.mark.parity
+
 
 def randomized_trace(seed: int, topology, horizon=60.0):
     params = SyncParams.recommended(epsilon=0.08, delay_bound=1.0)
