@@ -36,8 +36,8 @@ test-lint:
 test-cert:
 	$(PYTHON) -m pytest tests/ benchmarks/ -m cert
 
-# The engine-parity lockdown: fast path vs reference engine vs streaming
-# folds, byte-identical summaries (docs/ENGINE.md).
+# The engine-parity lockdown: trace and streaming runs vs pinned summary
+# and event-log fingerprints, plus the time-scaling oracle (docs/ENGINE.md).
 test-parity:
 	$(PYTHON) -m pytest tests/ -m parity
 

@@ -56,6 +56,7 @@ from repro.topology.generators import (
 
 __all__ = [
     "CertScenario",
+    "ALGORITHM_KINDS",
     "TOPOLOGY_KINDS",
     "DRIFT_KINDS",
     "DELAY_KINDS",
@@ -91,6 +92,11 @@ DRIFT_KINDS = (
 )
 #: Delay kinds in decreasing complexity (shrink order).
 DELAY_KINDS = ("uniform", "constant", "zero")
+#: Certifiable algorithms; the last three are the planted-violation controls.
+ALGORITHM_KINDS = (
+    "aopt", "aopt-jump", "aopt-ft", "ftgcs", "gcs-pcls",
+    "kllo-dynamic", "aopt-broken-rate", "kllo-frozen", "ftgcs-trusting",
+)
 
 
 def min_nodes(topology_kind: str) -> int:
@@ -251,9 +257,8 @@ class CertScenario:
 
             return PclsAlgorithm(params)
         raise ConfigurationError(
-            f"unknown certifiable algorithm {self.algorithm!r}; known: "
-            "aopt, aopt-jump, aopt-ft, aopt-broken-rate, kllo-dynamic, "
-            "kllo-frozen, ftgcs, ftgcs-trusting, gcs-pcls"
+            f"unknown certifiable algorithm {self.algorithm!r}; "
+            f"known: {', '.join(ALGORITHM_KINDS)}"
         )
 
     def build_faults(self, topology: Topology) -> Optional[FaultSchedule]:

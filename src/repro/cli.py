@@ -1176,6 +1176,8 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from repro.cert.scenario import ALGORITHM_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Tight Bounds for Clock Synchronization' "
@@ -1537,9 +1539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.add_argument(
         "--algorithm", default="aopt",
-        choices=["aopt", "aopt-jump", "aopt-ft", "ftgcs", "gcs-pcls",
-                 "aopt-broken-rate", "kllo-dynamic", "kllo-frozen",
-                 "ftgcs-trusting"],
+        choices=ALGORITHM_KINDS,
         help="variant to certify (aopt-broken-rate, kllo-frozen, and "
              "ftgcs-trusting are the planted-violation controls)"
     )

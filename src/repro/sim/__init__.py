@@ -30,7 +30,6 @@ from repro.sim.monitors import (
     StreamingSkewTracker,
 )
 from repro.sim.rates import PiecewiseConstantRate, alternating_rate, constant_rate
-from repro.sim.reference import ReferenceSimulationEngine
 from repro.sim.runner import (
     default_monitors,
     run_execution,
@@ -63,7 +62,6 @@ __all__ = [
     "RandomWalkDrift",
     "ExplicitDrift",
     "SimulationEngine",
-    "ReferenceSimulationEngine",
     "StreamingResult",
     "DEFAULT_TRACE_NODE_CAP",
     "EnvelopeMonitor",

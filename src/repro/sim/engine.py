@@ -32,13 +32,13 @@ reproduces the identical execution.
 Fast path
 ---------
 The hot loop dispatches plain tuples ``(time, seq, kind, node, ...)``
-through a binary heap — no per-event object allocation, no dataclass
-comparison; the monotone ``seq`` settles ties before any payload field
-is compared, exactly like the reference engine's
-:class:`~repro.sim.events.EventQueue` did.  Results are *bit-identical*
-to :class:`~repro.sim.reference.ReferenceSimulationEngine` (same
-breakpoints, same exact skews, same counters) — the contract enforced by
-``tests/test_engine_parity.py``; see ``docs/ENGINE.md``.
+through a binary heap — no per-event object allocation; the monotone
+``seq`` settles ties before any payload field is compared, so events at
+one instant run in scheduling order.  Results are *bit-identical* to
+pinned fingerprints of the event-at-a-time engine this loop replaced
+(same summaries, same event logs), in trace and streaming mode alike —
+the contract enforced by ``tests/test_engine_parity.py``; see
+``docs/ENGINE.md``.
 
 Fault semantics (robustness extension; docs/FAULTS.md)
 ------------------------------------------------------

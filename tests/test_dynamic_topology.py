@@ -9,9 +9,10 @@ node join/leave, partitions that re-merge.  These tests pin
 * the engine semantics — absent edges lose messages, absent nodes
   neither send nor receive, joiners integrate via their first message
   (§4.2) exactly like a network merge;
-* byte-exact parity of the fast engine against the reference engine and
-  of streaming mode (``record_trace=False``) against the trace oracle,
-  across merge and partition scenarios;
+* byte-exact parity of the fast engine's trace and streaming modes
+  (``record_trace=False``) against pinned fingerprints
+  (``tests/test_engine_parity.py``), across merge and partition
+  scenarios;
 * workers=N == workers=1 byte-identity when a schedule rides the spec.
 """
 
@@ -19,7 +20,7 @@ import pickle
 
 import pytest
 
-from tests.test_engine_parity import canonical_summary_json
+from tests.test_engine_parity import assert_pinned
 
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
@@ -239,7 +240,7 @@ class TestEngineSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Parity: fast vs reference, trace vs streaming, workers
+# Parity: trace and streaming vs pinned fingerprints, workers
 # ---------------------------------------------------------------------------
 
 
@@ -268,22 +269,18 @@ def _partition_spec(seed=0, record_trace=True):
     )
 
 
+#: Fixture keys of the two specs in ``tests/fixtures/parity/fingerprints.json``.
+_PIN_NAMES = {_merge_spec: "merge", _partition_spec: "partition"}
+
+
 class TestDynamicParity:
     @pytest.mark.parametrize("build", [_merge_spec, _partition_spec])
     def test_fast_engine_matches_reference(self, build):
-        from tests.test_engine_parity import _reference_summary
-
-        reference, _ = _reference_summary(build())
-        fast = build().run_summary()
-        assert pickle.dumps(reference) == pickle.dumps(fast)
+        assert_pinned(_PIN_NAMES[build], build())
 
     @pytest.mark.parametrize("build", [_merge_spec, _partition_spec])
     def test_streaming_matches_trace_oracle(self, build):
-        trace_summary = build(record_trace=True).run_summary()
-        stream_summary = build(record_trace=False).run_summary()
-        assert canonical_summary_json(trace_summary) == canonical_summary_json(
-            stream_summary
-        )
+        assert_pinned(_PIN_NAMES[build], build(record_trace=False))
 
     def test_workers_byte_identical_with_schedule(self):
         specs = [_merge_spec(seed=i) for i in range(2)] + [

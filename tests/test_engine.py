@@ -364,3 +364,43 @@ class TestSafetyLimits:
         probes = trace.probes_named("marker")
         assert len(probes) == 2
         assert probes[0].value == 42
+
+
+class TestQueueContracts:
+    """Ordering contracts of the event heap, observed through runs."""
+
+    @staticmethod
+    def _first_sends():
+        return ScriptedAlgorithm(
+            on_start=lambda node, ctx: ctx.send_all(("x",)) if ctx.node_id == 0 else None
+        )
+
+    def test_event_exactly_at_horizon_kept(self):
+        # The horizon is inclusive: an event due exactly at the horizon
+        # still happens (the engine's last instant is simulated).
+        algo = self._first_sends()
+        _, trace = run(line(2), algo, horizon=0.5, delay=0.5)
+        assert trace.start_times[1] == 0.5
+        assert [event[0] for event in algo.nodes[1].events] == ["start", "msg"]
+
+    def test_event_after_horizon_dropped(self):
+        with pytest.raises(SimulationError, match="1 nodes never initialized"):
+            run(line(2), self._first_sends(), horizon=0.49999999, delay=0.5)
+
+    def test_fifo_tie_break(self):
+        # Events due at one instant run in the order they were scheduled:
+        # three sends with equal delay, then two alarms at equal readings,
+        # each in an order that no payload comparison would produce.
+        def on_start(node, ctx):
+            if ctx.node_id == 0:
+                for value in (3, 1, 2):
+                    ctx.send_to(1, (value,))
+            else:
+                ctx.set_alarm("b", 1.0)
+                ctx.set_alarm("a", 1.0)
+
+        algo = ScriptedAlgorithm(on_start=on_start)
+        run(line(2), algo, delay=0.5)
+        events = algo.nodes[1].events
+        assert [e[2] for e in events if e[0] == "msg"] == [(3,), (1,), (2,)]
+        assert [e[1] for e in events if e[0] == "alarm"] == ["b", "a"]

@@ -1,36 +1,45 @@
-"""Engine-parity suite: fast path == reference engine, bit for bit.
+"""Engine-parity suite: the fast path against pinned fingerprints, bit for bit.
 
-PR 6 rewrote :class:`~repro.sim.engine.SimulationEngine` around a tuple
-heap, slotted node state, and (optionally) streaming skew folds.  The
-contract that rewrite must honor is *exactness*: for every scenario the
-fast engine produces the same breakpoints, the same skew extrema, the
-same counters — not approximately, but to the last float bit.  These
-tests pin that contract three ways:
+The contract of :class:`~repro.sim.engine.SimulationEngine` is
+*exactness*: for every scenario it produces the same breakpoints, the
+same skew extrema, the same counters — not approximately, but to the
+last float bit.  These tests pin that contract three ways:
 
-* **reference vs fast trace** — the verbatim pre-rewrite engine
-  (:class:`~repro.sim.reference.ReferenceSimulationEngine`) and the fast
-  engine run the same spec; their ``ExecutionSummary`` pickles must be
-  byte-identical.
-* **fast trace vs streaming** — ``record_trace=False`` folds skew
-  extrema incrementally instead of materializing a trace; the summaries
-  must agree byte-for-byte via canonical JSON once the (deliberately
-  different) spec digests are normalized out.
-* **event logs** — with ``record_events=True`` all three paths must emit
-  the identical structured event stream.
+* **pinned fingerprints** — ``fixtures/parity/fingerprints.json`` holds,
+  for each of 17 cases, the canonical summary JSON (spec digest
+  stripped), the sha256 of the structured event log
+  (:func:`repro.obs.export.event_log_digest`) and the number of log
+  records.  The pins were captured at commit 5f702da from the
+  event-at-a-time reference engine that the fast engine replaced, which
+  the fast engine then matched on every case; that engine has since
+  been deleted.  The fast trace path and the streaming path must each
+  reproduce every pin.
+* **trace vs streaming** — ``record_trace=False`` folds skew extrema
+  incrementally instead of materializing a trace; both modes meet the
+  same pin, while their (deliberately different) spec digests differ.
+* **fold paths** — every evaluation path of the skew fold (numpy,
+  sweeps, per-instant) gives the same extrema.
 
 The scenario matrix reuses the certification fuzzer
 (:func:`repro.cert.fuzzer.sample_scenario`): seeded draws over
 line/ring/star/grid/random topologies, drift/delay adversary kinds, and
 fault schedules, so the same generator that hunts theorem violations
 also exercises engine parity.
+
+A deliberate model change moves the pins.  Re-pin from the fast engine
+with ``PYTHONPATH=src python -m tests.test_engine_parity`` and review
+the fixture diff.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import pickle
+from pathlib import Path
+from typing import Dict
 
 import pytest
 
@@ -40,7 +49,7 @@ from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
 from repro.exec.spec import ExecutionSpec
 from repro.exec.summary import summarize_streaming, summarize_trace
-from repro.sim.reference import ReferenceSimulationEngine
+from repro.obs.export import event_log_digest
 from repro.sim.runner import run_execution, run_execution_streaming
 from repro.sim.trace import SkewExtremum
 from repro.sim.drift import RandomWalkDrift, TwoGroupDrift
@@ -50,6 +59,8 @@ from repro.topology.generators import grid, line
 pytestmark = pytest.mark.parity
 
 PARAMS = SyncParams.recommended(epsilon=0.05, delay_bound=1.0)
+
+FINGERPRINTS = Path(__file__).parent / "fixtures" / "parity" / "fingerprints.json"
 
 #: (campaign seed, scenario index) draws for the parity matrix, chosen to
 #: span line/ring/star/grid/random topologies, every drift and delay
@@ -69,34 +80,92 @@ SCENARIO_DRAWS = [
     (2, 10),  # ring / random-walk / uniform
 ]
 
+#: Fuzzer draws with ``include_byzantine=True``: star topologies with
+#: one or more Byzantine leaves and horizons long enough for the
+#: corruption to be *accepted* (not merely injected).
+BYZANTINE_DRAWS = [(3, 0), (3, 1)]
+
 
 def _scenario_spec(seed: int, index: int) -> ExecutionSpec:
     return sample_scenario(seed, index, algorithm="aopt").build_spec()
 
 
-def _reference_summary(spec: ExecutionSpec, record_events: bool = False):
-    """Run ``spec`` on the verbatim pre-rewrite engine (the oracle)."""
-    algorithm, drift, delay = copy.deepcopy(
-        (spec.algorithm, spec.drift, spec.delay)
+def _byzantine_spec(seed: int, index: int) -> ExecutionSpec:
+    scenario = sample_scenario(seed, index, include_byzantine=True)
+    assert scenario.has_byzantine
+    return scenario.build_spec()
+
+
+def _combined_spec() -> ExecutionSpec:
+    """Hand-built worst case: Byzantine leaf + crash + edge churn."""
+    from repro.faults import FaultSchedule
+    from repro.topology.dynamic import TopologySchedule
+    from repro.topology.generators import star
+    from repro.variants import ftgcs_rejection_window
+
+    params = SyncParams.recommended(epsilon=0.1, delay_bound=0.5)
+    topology = star(6)
+    window = ftgcs_rejection_window(params, 2)
+    faults = (
+        FaultSchedule(seed=13, byzantine_magnitude=6.0 * window)
+        .byzantine(1, at=2.0, until=40.0)
+        .crash(5, at=15.0, until=25.0)
     )
-    monitors = spec._monitors()
-    engine = ReferenceSimulationEngine(
-        topology=spec.topology,
-        algorithm=algorithm,
-        drift_model=drift,
-        delay_model=delay,
-        horizon=spec.horizon,
-        initiators=dict(spec.initiators) if spec.initiators else None,
-        monitors=monitors,
-        faults=spec.faults,
-        topology_schedule=spec.topology_schedule,
-        record_events=record_events,
+    churn = (
+        TopologySchedule()
+        .edge_disappears(0, 3, at=10.0, until=20.0)
+        .leaves(4, at=30.0, until=40.0)
     )
-    trace = engine.run()
-    summary = summarize_trace(
-        trace, digest=spec.digest(), label=spec.label, monitors=monitors
+    return ExecutionSpec(
+        topology,
+        AoptAlgorithm(params),
+        TwoGroupDrift(0.1, topology.nodes[3:]),
+        ConstantDelay(0.5),
+        60.0,
+        faults=faults,
+        topology_schedule=churn,
+        label="star/byzantine+crash+churn",
     )
-    return summary, trace
+
+
+def _event_log_spec() -> ExecutionSpec:
+    return ExecutionSpec(
+        line(6),
+        AoptAlgorithm(PARAMS),
+        TwoGroupDrift(0.05, [0, 1, 2]),
+        UniformDelay(0.0, 1.0, seed=11),
+        40.0,
+        label="line/event-log",
+    )
+
+
+def _grid_spec() -> ExecutionSpec:
+    return ExecutionSpec(
+        grid(3, 3),
+        AoptAlgorithm(PARAMS),
+        TwoGroupDrift(0.05, [(0, 0), (0, 1), (0, 2), (1, 0)]),
+        ConstantDelay(1.0),
+        50.0,
+        label="grid/two-group",
+    )
+
+
+def pinned_cases() -> Dict[str, ExecutionSpec]:
+    """Every pinned case by fixture key, as a trace-mode spec."""
+    from tests.test_dynamic_topology import _merge_spec, _partition_spec
+
+    cases = {f"scenario-{s}-{i}": _scenario_spec(s, i) for s, i in SCENARIO_DRAWS}
+    cases.update(
+        (f"byzantine-{s}-{i}", _byzantine_spec(s, i)) for s, i in BYZANTINE_DRAWS
+    )
+    cases.update({
+        "combined": _combined_spec(),
+        "merge": _merge_spec(),
+        "partition": _partition_spec(),
+        "line-events": _event_log_spec(),
+        "grid-tuple-ids": _grid_spec(),
+    })
+    return cases
 
 
 def _canonical(obj):
@@ -117,90 +186,114 @@ def _canonical(obj):
     return obj
 
 
-def canonical_summary_json(summary, ignore_digest: bool = True) -> str:
-    if ignore_digest:
-        # Trace and streaming digests differ *by design* (record_trace is
-        # part of the digest so the cache keeps the modes separate).
-        summary = dataclasses.replace(summary, spec_digest="")
+def canonical_summary_json(summary) -> str:
+    # Trace and streaming digests differ *by design* (record_trace is part
+    # of the digest so the cache keeps the modes separate).
+    summary = dataclasses.replace(summary, spec_digest="")
     return json.dumps(_canonical(summary), sort_keys=True)
+
+
+def run_recorded(spec: ExecutionSpec):
+    """Run ``spec`` in its own mode with the event log on.
+
+    Returns ``(summary, event_log)``; the summary is what
+    :meth:`ExecutionSpec.run_summary` returns for the same spec.
+    """
+    if spec.record_trace:
+        trace, monitors = spec.run(record_events=True)
+        summary = summarize_trace(
+            trace, digest=spec.digest(), label=spec.label, monitors=monitors
+        )
+        return summary, trace.event_log
+    algorithm, drift, delay = copy.deepcopy((spec.algorithm, spec.drift, spec.delay))
+    monitors = spec._monitors()
+    result = run_execution_streaming(
+        spec.topology, algorithm, drift, delay, spec.horizon,
+        initiators=dict(spec.initiators) if spec.initiators else None,
+        monitors=monitors,
+        faults=spec.faults,
+        topology_schedule=spec.topology_schedule,
+        record_events=True,
+    )
+    summary = summarize_streaming(
+        result, digest=spec.digest(), label=spec.label, monitors=monitors
+    )
+    return summary, result.event_log
+
+
+def fingerprint(summary, event_log) -> dict:
+    """What a pin stores: canonical summary, event-log digest and length."""
+    return {
+        "summary": json.loads(canonical_summary_json(summary)),
+        "event_log_digest": event_log_digest(event_log),
+        "events": len(event_log),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _pins() -> Dict[str, dict]:
+    return json.loads(FINGERPRINTS.read_text())
+
+
+def assert_pinned(name: str, spec: ExecutionSpec):
+    """Run ``spec`` and check it against pin ``name``; returns the run."""
+    summary, event_log = run_recorded(spec)
+    mode = "trace" if spec.record_trace else "streaming"
+    assert fingerprint(summary, event_log) == _pins()[name], (
+        f"{mode} run of {spec.label} diverged from pinned case {name!r}"
+    )
+    return summary, event_log
+
+
+def repin() -> None:
+    """Rewrite the fixture from the fast engine's trace mode."""
+    pins = {
+        name: fingerprint(*run_recorded(spec))
+        for name, spec in pinned_cases().items()
+    }
+    FINGERPRINTS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+
+
+def test_every_case_is_pinned():
+    assert sorted(_pins()) == sorted(pinned_cases())
 
 
 class TestScenarioMatrixParity:
     @pytest.mark.parametrize("seed,index", SCENARIO_DRAWS)
     def test_fast_trace_matches_reference(self, seed, index):
-        spec = _scenario_spec(seed, index)
-        reference, _ = _reference_summary(spec)
-        fast = _scenario_spec(seed, index).run_summary()
-        assert pickle.dumps(reference) == pickle.dumps(fast), (
-            f"fast-path summary diverged from the reference engine for "
-            f"{spec.label}"
-        )
+        assert_pinned(f"scenario-{seed}-{index}", _scenario_spec(seed, index))
 
     @pytest.mark.parametrize("seed,index", SCENARIO_DRAWS)
     def test_streaming_matches_fast_trace(self, seed, index):
         spec = _scenario_spec(seed, index)
-        traced = spec.run_summary()
-        streamed = spec.with_record_trace(False).run_summary()
-        assert canonical_summary_json(traced) == canonical_summary_json(
-            streamed
-        ), f"streaming summary diverged from trace evaluation for {spec.label}"
+        streamed, _ = assert_pinned(
+            f"scenario-{seed}-{index}", spec.with_record_trace(False)
+        )
         # The digests themselves must differ — cache separation is part of
         # the contract (see docs/ENGINE.md).
-        assert traced.spec_digest != streamed.spec_digest
+        assert streamed.spec_digest != spec.digest()
 
     @pytest.mark.parametrize("seed,index", SCENARIO_DRAWS[:4])
     def test_streaming_matches_reference_with_metrics(self, seed, index):
         """Counters (events, checkpoints, breakpoints per node) agree too."""
+        name = f"scenario-{seed}-{index}"
         spec = _scenario_spec(seed, index).with_record_trace(False)
-        reference, _ = _reference_summary(spec.with_record_trace(True))
         streamed = spec.run_summary(collect_metrics=True)
         plain = dataclasses.replace(streamed, run_metrics=None)
-        assert canonical_summary_json(reference) == canonical_summary_json(
-            plain
-        )
+        pinned = json.dumps(_pins()[name]["summary"], sort_keys=True)
+        assert canonical_summary_json(plain) == pinned
         metrics = streamed.run_metrics
         assert metrics is not None
-        assert metrics.events_processed == reference.events_processed
+        assert metrics.events_processed == plain.events_processed
         assert metrics.phase_seconds == {}
 
 
 class TestEventLogParity:
-    def _models(self):
-        return (
-            TwoGroupDrift(0.05, [0, 1, 2]),
-            UniformDelay(0.0, 1.0, seed=11),
-        )
-
     def test_event_logs_identical_across_all_three_paths(self):
-        topology = line(6)
-        horizon = 40.0
-        runs = []
-        for mode in ("reference", "fast", "streaming"):
-            drift, delay = self._models()
-            algorithm = AoptAlgorithm(PARAMS)
-            if mode == "reference":
-                engine = ReferenceSimulationEngine(
-                    topology=topology, algorithm=algorithm,
-                    drift_model=drift, delay_model=delay, horizon=horizon,
-                    record_events=True,
-                )
-                runs.append(engine.run().event_log)
-            elif mode == "fast":
-                trace = run_execution(
-                    topology, algorithm, drift, delay, horizon,
-                    record_events=True,
-                )
-                runs.append(trace.event_log)
-            else:
-                result = run_execution_streaming(
-                    topology, algorithm, drift, delay, horizon,
-                    record_events=True,
-                )
-                runs.append(result.event_log)
-        reference, fast, streaming = runs
-        assert pickle.dumps(reference) == pickle.dumps(fast)
-        assert pickle.dumps(reference) == pickle.dumps(streaming)
-        assert reference, "event log unexpectedly empty"
+        spec = _event_log_spec()
+        _, event_log = assert_pinned("line-events", spec)
+        assert_pinned("line-events", spec.with_record_trace(False))
+        assert event_log, "event log unexpectedly empty"
 
 
 class TestByzantineChurnParity:
@@ -208,112 +301,35 @@ class TestByzantineChurnParity:
     parity contract as the static matrix — alone and combined.
 
     Corruption draws come from the per-message hash, never shared RNG,
-    so the reference engine, the fast trace path, and the streaming fold
-    must land every lie on the same message with the same depth.
+    so the fast trace path and the streaming fold must land every lie on
+    the same message with the same depth as the pinned run.
     """
-
-    #: Fuzzer draws with ``include_byzantine=True``: star topologies with
-    #: one or more Byzantine leaves and horizons long enough for the
-    #: corruption to be *accepted* (not merely injected).
-    BYZANTINE_DRAWS = [(3, 0), (3, 1)]
-
-    def _combined_spec(self) -> ExecutionSpec:
-        """Hand-built worst case: Byzantine leaf + crash + edge churn."""
-        from repro.faults import FaultSchedule
-        from repro.topology.dynamic import TopologySchedule
-        from repro.topology.generators import star
-        from repro.variants import ftgcs_rejection_window
-
-        params = SyncParams.recommended(epsilon=0.1, delay_bound=0.5)
-        topology = star(6)
-        window = ftgcs_rejection_window(params, 2)
-        faults = (
-            FaultSchedule(seed=13, byzantine_magnitude=6.0 * window)
-            .byzantine(1, at=2.0, until=40.0)
-            .crash(5, at=15.0, until=25.0)
-        )
-        churn = (
-            TopologySchedule()
-            .edge_disappears(0, 3, at=10.0, until=20.0)
-            .leaves(4, at=30.0, until=40.0)
-        )
-        return ExecutionSpec(
-            topology,
-            AoptAlgorithm(params),
-            TwoGroupDrift(0.1, topology.nodes[3:]),
-            ConstantDelay(0.5),
-            60.0,
-            faults=faults,
-            topology_schedule=churn,
-            label="star/byzantine+crash+churn",
-        )
 
     @pytest.mark.byzantine
     @pytest.mark.parametrize("seed,index", BYZANTINE_DRAWS)
     def test_byzantine_fast_trace_matches_reference(self, seed, index):
-        scenario = sample_scenario(seed, index, include_byzantine=True)
-        assert scenario.has_byzantine
-        reference, _ = _reference_summary(scenario.build_spec())
-        fast = scenario.build_spec().run_summary()
-        assert pickle.dumps(reference) == pickle.dumps(fast), (
-            f"fast-path summary diverged from the reference engine for "
-            f"{scenario.build_spec().label}"
-        )
+        assert_pinned(f"byzantine-{seed}-{index}", _byzantine_spec(seed, index))
 
     @pytest.mark.byzantine
     @pytest.mark.parametrize("seed,index", BYZANTINE_DRAWS)
     def test_byzantine_streaming_matches_fast_trace(self, seed, index):
-        spec = sample_scenario(seed, index, include_byzantine=True).build_spec()
-        traced = spec.run_summary()
-        streamed = spec.with_record_trace(False).run_summary()
-        assert canonical_summary_json(traced) == canonical_summary_json(
-            streamed
-        ), f"streaming summary diverged from trace evaluation for {spec.label}"
+        spec = _byzantine_spec(seed, index).with_record_trace(False)
+        assert_pinned(f"byzantine-{seed}-{index}", spec)
 
     @pytest.mark.byzantine
     def test_combined_fast_trace_matches_reference(self):
-        reference, _ = _reference_summary(self._combined_spec())
-        fast = self._combined_spec().run_summary()
-        assert pickle.dumps(reference) == pickle.dumps(fast)
+        assert_pinned("combined", _combined_spec())
 
     @pytest.mark.byzantine
     def test_combined_streaming_matches_fast_trace(self):
-        spec = self._combined_spec()
-        traced = spec.run_summary()
-        streamed = spec.with_record_trace(False).run_summary()
-        assert canonical_summary_json(traced) == canonical_summary_json(
-            streamed
-        )
+        assert_pinned("combined", _combined_spec().with_record_trace(False))
 
     @pytest.mark.byzantine
     def test_byzantine_event_logs_identical_across_all_three_paths(self):
-        spec = self._combined_spec()
-        runs = []
-        for mode in ("reference", "fast", "streaming"):
-            fresh = self._combined_spec()
-            if mode == "reference":
-                _, trace = _reference_summary(fresh, record_events=True)
-                runs.append(trace.event_log)
-            elif mode == "fast":
-                trace = run_execution(
-                    fresh.topology, fresh.algorithm, fresh.drift, fresh.delay,
-                    fresh.horizon, faults=fresh.faults,
-                    topology_schedule=fresh.topology_schedule,
-                    record_events=True,
-                )
-                runs.append(trace.event_log)
-            else:
-                result = run_execution_streaming(
-                    fresh.topology, fresh.algorithm, fresh.drift, fresh.delay,
-                    fresh.horizon, faults=fresh.faults,
-                    topology_schedule=fresh.topology_schedule,
-                    record_events=True,
-                )
-                runs.append(result.event_log)
-        reference, fast, streaming = runs
-        assert pickle.dumps(reference) == pickle.dumps(fast)
-        assert pickle.dumps(reference) == pickle.dumps(streaming)
-        corrupt = [e for e in reference if e[0] == "corrupt"]
+        spec = _combined_spec()
+        _, event_log = assert_pinned("combined", spec)
+        assert_pinned("combined", spec.with_record_trace(False))
+        corrupt = [e for e in event_log if e[0] == "corrupt"]
         assert corrupt, "expected corruption entries under a Byzantine schedule"
         assert {e[2] for e in corrupt} == {1}, (
             f"only the scheduled liar may corrupt, got {spec.label} log"
@@ -450,22 +466,13 @@ class TestHandPickedParity:
     """Deterministic non-fuzzed cases covering the summary corner fields."""
 
     def test_grid_tuple_node_ids(self):
-        spec = ExecutionSpec(
-            grid(3, 3),
-            AoptAlgorithm(PARAMS),
-            TwoGroupDrift(0.05, [(0, 0), (0, 1), (0, 2), (1, 0)]),
-            ConstantDelay(1.0),
-            50.0,
-            label="grid/two-group",
-        )
-        reference, _ = _reference_summary(spec)
-        streamed = spec.with_record_trace(False).run_summary()
-        assert canonical_summary_json(reference) == canonical_summary_json(
-            streamed
-        )
+        spec = _grid_spec()
+        traced, _ = assert_pinned("grid-tuple-ids", spec)
+        streamed, _ = assert_pinned("grid-tuple-ids", spec.with_record_trace(False))
         # Extremum *pairs* carry tuple node ids — exact identity matters.
-        assert reference.global_skew_pair == streamed.global_skew_pair
-        assert reference.local_skew_pair == streamed.local_skew_pair
+        assert traced.global_skew_pair == streamed.global_skew_pair
+        assert traced.local_skew_pair == streamed.local_skew_pair
+        assert isinstance(streamed.global_skew_pair[0], tuple)
 
     def test_monitor_violations_format_identically(self):
         # aopt-broken-rate trips the rate-bound monitor; the formatted
@@ -493,3 +500,7 @@ class TestHandPickedParity:
         # Replays are deterministic, and both match trace evaluation.
         assert pickle.dumps(first) == pickle.dumps(second)
         assert canonical_summary_json(traced) == canonical_summary_json(first)
+
+
+if __name__ == "__main__":
+    repin()

@@ -10,9 +10,7 @@ worker counts and cache states.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
 import math
 import pickle
 
@@ -43,6 +41,7 @@ from repro.variants.fault_tolerant import FaultTolerantAoptAlgorithm
 from repro.variants.ftgcs import FtgcsAlgorithm, ftgcs_rejection_window
 
 from tests.test_engine import ScriptedAlgorithm
+from tests.test_engine_parity import canonical_summary_json
 
 pytestmark = pytest.mark.faults
 
@@ -1196,19 +1195,6 @@ def _pinned_fault_spec():
     )
 
 
-def _canonical(obj):
-    """JSON-safe form in which floats are their round-trip ``repr``."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _canonical(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {repr(key): _canonical(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(value) for value in obj]
-    if isinstance(obj, float):
-        return repr(obj)
-    return obj
-
-
 class TestPinnedFaultRun:
     def test_summary_sha_is_pinned(self):
         summary = _pinned_fault_spec().run_summary()
@@ -1218,8 +1204,6 @@ class TestPinnedFaultRun:
         assert summary.messages_lost_crash > 0
         assert summary.messages_lost_link > 0
         assert summary.monitor_violations == ()
-        # spec_digest is an input; run_metrics is present only when
-        # metrics are collected.
-        stripped = dataclasses.replace(summary, spec_digest="", run_metrics=None)
-        text = json.dumps(_canonical(stripped), sort_keys=True)
+        # spec_digest is an input; run_metrics is None without metrics.
+        text = canonical_summary_json(summary)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_FAULT_RUN_SHA

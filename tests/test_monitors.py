@@ -11,7 +11,6 @@ from repro.sim.delays import ConstantDelay
 from repro.sim.drift import ConstantDrift
 from repro.sim.engine import SimulationEngine
 from repro.sim.monitors import EnvelopeMonitor, MonotonicityMonitor, RateBoundMonitor
-from repro.sim.reference import ReferenceSimulationEngine
 from repro.topology.generators import line
 
 
@@ -135,13 +134,12 @@ def _collecting_monitors():
     ]
 
 
-@pytest.mark.parametrize("engine_cls", [SimulationEngine, ReferenceSimulationEngine])
 class TestReportPins:
     @pytest.mark.parametrize("case", sorted(REPORT_CASES))
-    def test_reports_match_pinned(self, engine_cls, case):
+    def test_reports_match_pinned(self, case):
         settings = dict(REPORT_CASES[case])
         monitors = _collecting_monitors()
-        engine_cls(
+        SimulationEngine(
             line(2),
             _Algo(settings.pop("multiplier"), **settings),
             ConstantDrift(0.05),
@@ -156,11 +154,11 @@ class TestReportPins:
         ]
         assert reports == REPORTS[case]
 
-    def test_unstarted_node_skipped(self, engine_cls):
+    def test_unstarted_node_skipped(self):
         # Before the run no node has started: no clock record exists yet,
         # and every check must return without reading one.
         monitors = _collecting_monitors()
-        engine = engine_cls(
+        engine = SimulationEngine(
             line(2),
             _Algo(2.0),
             ConstantDrift(0.05),

@@ -1,21 +1,17 @@
 """Stateful (model-based) property tests with hypothesis.
 
-Random interleaved operation sequences against the core data structures,
-with invariants checked after every step:
-
-* :class:`LogicalClockRecord` — monotone under positive rates; value and
-  left-limit agree except at jumps; multiplier reads back.
-* :class:`EventQueue` — pops are globally time-ordered and FIFO within a
-  timestamp.
+Random interleaved operation sequences against
+:class:`LogicalClockRecord`, with invariants checked after every step:
+monotone under positive rates; value and left-limit agree except at
+jumps; multiplier reads back.
 """
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.sim.clock import HardwareClock
-from repro.sim.events import EventQueue, WakeEvent
 from repro.sim.rates import PiecewiseConstantRate
 from repro.sim.trace import LogicalClockRecord
 
@@ -61,46 +57,3 @@ RecordMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
 TestRecordMachine = RecordMachine.TestCase
-
-
-class QueueMachine(RuleBasedStateMachine):
-    """Drive an EventQueue with random pushes and pops."""
-
-    def __init__(self):
-        super().__init__()
-        self.queue = EventQueue()
-        self.current_time = 0.0
-        self.pushed = 0
-        self.popped = []
-
-    @rule(offset=st.floats(0.0, 10.0))
-    def push(self, offset):
-        self.queue.push(WakeEvent(self.current_time + offset, self.pushed))
-        self.pushed += 1
-
-    @precondition(lambda self: len(self.queue) > 0)
-    @rule()
-    def pop(self):
-        event = self.queue.pop()
-        self.current_time = event.time
-        self.popped.append(event)
-
-    @invariant()
-    def pops_time_ordered(self):
-        times = [e.time for e in self.popped]
-        assert times == sorted(times)
-
-    @invariant()
-    def ties_fifo(self):
-        # Among equal-time pops, the insertion ids must be increasing.
-        by_time = {}
-        for event in self.popped:
-            by_time.setdefault(event.time, []).append(event.node)
-        for ids in by_time.values():
-            assert ids == sorted(ids)
-
-
-QueueMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None
-)
-TestQueueMachine = QueueMachine.TestCase
