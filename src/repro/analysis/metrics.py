@@ -17,6 +17,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import global_skew_bound, gradient_bound, legal_state_levels
 from repro.core.params import SyncParams
+from repro.sim.monitors import TOLERANCE
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -125,7 +126,7 @@ def check_legal_state(
                         margin = skew - d * (s + 0.5) * params.kappa
                         if margin > worst.worst_margin:
                             worst = LegalStateReport(
-                                margin <= 1e-7, margin, t, (v, w), s, len(times)
+                                margin <= TOLERANCE, margin, t, (v, w), s, len(times)
                             )
     return worst
 

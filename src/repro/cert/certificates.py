@@ -69,6 +69,7 @@ from repro.core.bounds import global_skew_bound, local_skew_bound
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
 from repro.exec.summary import ExecutionSummary
+from repro.sim.monitors import TOLERANCE
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -85,10 +86,6 @@ __all__ = [
     "construction_certificates",
     "resolve_certificates",
 ]
-
-#: Absolute numerical slack for bound comparisons — identical to the
-#: monitor tolerance and the historical CLI gates.
-TOLERANCE = 1e-7
 
 #: Algorithms whose guarantees the A^opt theorems state.  The planted
 #: broken variants claim the same guarantees (that is the point of the

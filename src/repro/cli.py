@@ -90,6 +90,7 @@ from repro.core.bounds import (
 )
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
+from repro.sim.monitors import TOLERANCE
 from repro.topology import generators
 from repro.topology.properties import diameter as graph_diameter
 from repro.variants import (
@@ -263,16 +264,25 @@ def _cmd_simulate(args) -> int:
         )
     )
     print(f"messages: {trace.total_messages()}  events: {trace.events_processed}")
-    # Variants with modified kappa (bit-budget) or adaptive kappa have
-    # their own bounds; the exit-code gate applies the plain Theorem
-    # 5.5/5.10 bounds only to the algorithms they govern directly.
-    if args.algorithm in ("aopt", "aopt-jump"):
-        ok = (
-            global_extremum.value <= global_skew_bound(params, d) + 1e-7
-            and local_extremum.value <= local_skew_bound(params, d) + 1e-7
-        )
-        return 0 if ok else 1
-    return 0
+    within = _within_aopt_bounds(
+        args.algorithm, params, d, global_extremum.value, local_extremum.value
+    )
+    return 0 if within else 1
+
+
+def _within_aopt_bounds(algorithm_name, params, d, worst_global, worst_local) -> bool:
+    """The exit-code gate: False only if A^opt broke Theorem 5.5 or 5.10.
+
+    Variants with modified kappa (bit-budget) or adaptive kappa have
+    their own bounds; the gate applies the plain Theorem 5.5/5.10 bounds
+    only to the algorithms they govern directly.
+    """
+    if algorithm_name not in ("aopt", "aopt-jump"):
+        return True
+    return (
+        worst_global <= global_skew_bound(params, d) + TOLERANCE
+        and worst_local <= local_skew_bound(params, d) + TOLERANCE
+    )
 
 
 def _executor_options(args):
@@ -408,13 +418,10 @@ def _cmd_suite(args) -> int:
         f"worst local:  {result.worst_local:.4f} ({result.worst_local_case})  "
         f"bound: {local_skew_bound(params, d):.4f}"
     )
-    if algorithm_name in ("aopt", "aopt-jump"):
-        ok = (
-            result.worst_global <= global_skew_bound(params, d) + 1e-7
-            and result.worst_local <= local_skew_bound(params, d) + 1e-7
-        )
-        return 0 if ok else 1
-    return 0
+    within = _within_aopt_bounds(
+        algorithm_name, params, d, result.worst_global, result.worst_local
+    )
+    return 0 if within else 1
 
 
 def _cmd_lower_global(args) -> int:
@@ -596,13 +603,13 @@ def _cmd_sweep(args) -> int:
                 result.worst_global_case,
             ]
         )
-        if algorithm_name in ("aopt", "aopt-jump") and args.churn is None:
+        if args.churn is None:
             # Under churn the static skew theorems are vacuous (a
             # partition drifts past G unavoidably), so the bounds are
             # reported for context but do not gate the exit code.
-            ok = ok and (
-                result.worst_global <= g_bound + 1e-7
-                and result.worst_local <= l_bound + 1e-7
+            ok = ok and _within_aopt_bounds(
+                algorithm_name, params, actual_d,
+                result.worst_global, result.worst_local,
             )
     print(
         format_table(

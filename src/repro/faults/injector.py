@@ -28,9 +28,8 @@ and replays stay byte-identical across worker counts and both engines.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.errors import ScheduleError
 from repro.faults.hashing import prefix_state, uniform_after
@@ -43,11 +42,7 @@ from repro.faults.schedule import (
     NODE_RECOVER,
     FaultSchedule,
 )
-from repro.topology._intervals import (
-    INFINITY as _INFINITY,
-    compile_intervals as _compile_intervals,
-    is_down as _is_down,
-)
+from repro.topology._intervals import Windows
 
 __all__ = ["FaultInjector", "MessageFate"]
 
@@ -82,61 +77,20 @@ class FaultInjector:
 
     def __init__(self, schedule: FaultSchedule, topology=None):
         self.schedule = schedule
-        per_node: Dict[NodeId, List[Tuple[float, str]]] = {}
-        for time, node, kind in schedule.node_events:
-            per_node.setdefault(node, []).append((time, kind))
-        per_link: Dict[Tuple[NodeId, NodeId], List[Tuple[float, str]]] = {}
-        link_keys: Dict[Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]] = {}
-        for time, (u, v), kind in schedule.link_events:
-            # Normalize to whichever orientation was seen first.
-            key = link_keys.get((u, v)) or link_keys.get((v, u)) or (u, v)
-            link_keys[(u, v)] = link_keys[(v, u)] = key
-            per_link.setdefault(key, []).append((time, kind))
-        per_byzantine: Dict[NodeId, List[Tuple[float, str]]] = {}
-        for time, node, kind in schedule.byzantine_events:
-            per_byzantine.setdefault(node, []).append((time, kind))
-        if per_byzantine and schedule.byzantine_magnitude <= 0:
+        if schedule.byzantine_events and schedule.byzantine_magnitude <= 0:
             raise ScheduleError(
                 "byzantine events scheduled but byzantine_magnitude is not positive"
             )
-
+        self._nodes = Windows(schedule.node_events, NODE_CRASH, NODE_RECOVER, "node")
+        self._links = Windows(
+            schedule.link_events, LINK_DOWN, LINK_UP, "link", pairs=True
+        )
+        self._byzantine = Windows(
+            schedule.byzantine_events, BYZANTINE, BYZANTINE_END, "byzantine node"
+        )
         if topology is not None:
-            known = set(topology.nodes)
-            for node in per_node:
-                if node not in known:
-                    raise ScheduleError(
-                        f"fault schedule names unknown node {node!r}"
-                    )
-            for node in per_byzantine:
-                if node not in known:
-                    raise ScheduleError(
-                        f"fault schedule names unknown byzantine node {node!r}"
-                    )
-            for u, v in per_link:
-                if v not in topology.neighbors(u):
-                    raise ScheduleError(
-                        f"fault schedule names unknown link ({u!r}, {v!r})"
-                    )
-
-        self._node_intervals: Dict[NodeId, List[Tuple[float, float]]] = {
-            node: _compile_intervals(
-                events, NODE_CRASH, NODE_RECOVER, f"node {node!r}"
-            )
-            for node, events in per_node.items()
-        }
-        both_ways: Dict[Tuple[NodeId, NodeId], List[Tuple[float, float]]] = {}
-        for (u, v), events in per_link.items():
-            intervals = _compile_intervals(
-                events, LINK_DOWN, LINK_UP, f"link ({u!r}, {v!r})"
-            )
-            both_ways[(u, v)] = both_ways[(v, u)] = intervals
-        self._link_intervals = both_ways
-        self._byzantine_intervals: Dict[NodeId, List[Tuple[float, float]]] = {
-            node: _compile_intervals(
-                events, BYZANTINE, BYZANTINE_END, f"byzantine node {node!r}"
-            )
-            for node, events in per_byzantine.items()
-        }
+            for windows in (self._nodes, self._byzantine, self._links):
+                windows.check_targets(topology, "fault schedule")
         seed = schedule.seed
         self._drop_prefix = prefix_state(seed, "drop")
         self._dup_prefix = prefix_state(seed, "dup")
@@ -152,69 +106,35 @@ class FaultInjector:
         The engine turns these into queue events; recover transitions at
         infinity (never-recovering crashes) are not included.
         """
-        timeline: List[Tuple[float, NodeId, str]] = []
-        for node, intervals in self._node_intervals.items():
-            for start, end in intervals:
-                timeline.append((start, node, NODE_CRASH))
-                if end != _INFINITY:
-                    timeline.append((end, node, NODE_RECOVER))
-        timeline.sort(key=lambda item: item[0])
-        return timeline
+        return self._nodes.timeline()
 
     def is_node_down(self, node: NodeId, t: float) -> bool:
-        intervals = self._node_intervals.get(node)
-        return intervals is not None and _is_down(intervals, t)
+        return self._nodes.is_down(node, t)
 
     def next_recovery(self, node: NodeId, t: float) -> Optional[float]:
         """The end of the down interval covering ``t``, or None.
 
         ``None`` means the node is either up at ``t`` or down forever.
         """
-        intervals = self._node_intervals.get(node)
-        if not intervals:
-            return None
-        i = bisect_right(intervals, (t, _INFINITY)) - 1
-        if i < 0 or t >= intervals[i][1]:
-            return None
-        end = intervals[i][1]
-        return None if end == _INFINITY else end
+        return self._nodes.next_up(node, t)
 
     def node_intervals(self, node: NodeId) -> Tuple[Tuple[float, float], ...]:
         """The compiled ``[crash, recover)`` intervals of ``node``."""
-        return tuple(self._node_intervals.get(node, ()))
-
-    def downtime_in(self, node: NodeId, a: float, b: float) -> float:
-        """Total scheduled downtime of ``node`` overlapping ``[a, b]``.
-
-        Open-ended crashes (no recovery) count until ``b``.  Used by the
-        engine to report per-node downtime on the trace, so activity
-        rates (e.g. amortized message frequency) can exclude outages.
-        """
-        total = 0.0
-        for start, end in self._node_intervals.get(node, ()):
-            overlap = min(end, b) - max(start, a)
-            if overlap > 0.0:
-                total += overlap
-        return total
-
-    def faulted_nodes(self) -> Tuple[NodeId, ...]:
-        return tuple(self._node_intervals)
+        return self._nodes.intervals(node)
 
     # -- link state ----------------------------------------------------------
 
     def is_link_down(self, u: NodeId, v: NodeId, t: float) -> bool:
-        intervals = self._link_intervals.get((u, v))
-        return intervals is not None and _is_down(intervals, t)
+        return self._links.is_down((u, v), t)
 
     # -- byzantine state ------------------------------------------------------
 
     def is_byzantine(self, node: NodeId, t: float) -> bool:
         """Is ``node`` inside a scheduled Byzantine interval at ``t``?"""
-        intervals = self._byzantine_intervals.get(node)
-        return intervals is not None and _is_down(intervals, t)
+        return self._byzantine.is_down(node, t)
 
     def byzantine_nodes(self) -> Tuple[NodeId, ...]:
-        return tuple(self._byzantine_intervals)
+        return self._byzantine.keys
 
     def corrupt_payload(
         self,

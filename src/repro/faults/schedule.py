@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
+from repro.topology._intervals import check_time as _check_time
 
 __all__ = [
     "FaultSchedule",
@@ -60,13 +61,6 @@ def _check_probability(name: str, value: float) -> float:
     if not (0 <= value < 1):
         raise ScheduleError(f"{name} must be in [0, 1), got {value}")
     return float(value)
-
-
-def _check_time(name: str, value: float) -> float:
-    value = float(value)
-    if value < 0:
-        raise ScheduleError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 class FaultSchedule:  # reprolint: digest-critical

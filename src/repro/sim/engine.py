@@ -85,7 +85,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 from repro.core.interfaces import Algorithm, AlgorithmNode, NodeContext
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
-from repro.faults.schedule import NODE_CRASH, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 from repro.obs.metrics import RunMetrics
 from repro.sim.clock import HardwareClock
 from repro.sim.delays import DROP, DelayModel
@@ -99,7 +99,6 @@ from repro.sim.trace import (
     SkewExtremum,
 )
 from repro.topology.dynamic import (
-    NODE_LEAVE,
     CompiledTopologySchedule,
     TopologySchedule,
     merged_downtime,
@@ -122,18 +121,17 @@ DEFAULT_MAX_EVENTS = 20_000_000
 DEFAULT_TRACE_NODE_CAP = 50_000
 
 # Event kinds, encoded as small ints inside heap tuples.  The heap never
-# compares beyond the unique ``seq``, so the kind ordering is cosmetic.
-_CRASH, _RECOVER, _WAKE, _DELIVERY, _ALARM, _LEAVE, _JOIN = 0, 1, 2, 3, 4, 5, 6
+# compares beyond the unique ``seq``; the outage transitions come first so
+# the main loop routes all four with one ``kind < _WAKE`` test.
+_CRASH, _RECOVER, _LEAVE, _JOIN, _WAKE, _DELIVERY, _ALARM = range(7)
 
-#: Kind int → metrics/event-log kind name.
-_KIND_NAMES = ("crash", "recover", "wake", "delivery", "alarm", "leave", "join")
+#: Kind int → metrics/event-log kind name.  The first four are also the
+#: kinds of the fault and topology ``node_timeline`` transitions.
+_KIND_NAMES = ("crash", "recover", "leave", "join", "wake", "delivery", "alarm")
 
 # Tuple layouts (time and seq lead so the heap orders on them alone):
+#   (time, seq, _CRASH | _RECOVER | _LEAVE | _JOIN, node)
 #   (time, seq, _WAKE,     node)
-#   (time, seq, _CRASH,    node)
-#   (time, seq, _RECOVER,  node)
-#   (time, seq, _LEAVE,    node)
-#   (time, seq, _JOIN,     node)
 #   (time, seq, _DELIVERY, node, sender, payload, send_time, size_bits)
 #   (time, seq, _ALARM,    node, name, generation, hardware_value)
 
@@ -403,32 +401,22 @@ class SimulationEngine:
         self._dynamic: Optional[CompiledTopologySchedule] = None
         if topology_schedule is not None and not topology_schedule.is_empty:
             self._dynamic = CompiledTopologySchedule(topology_schedule, topology)
-            # Topology transitions are pushed before fault transitions and
-            # wake events, so a leave at time t is processed before any
-            # same-time crash, wake, delivery, or alarm (FIFO tie-break).
-            for event_time, node, kind in self._dynamic.node_timeline():
+        self._injector: Optional[FaultInjector] = None
+        if faults is not None:
+            self._injector = FaultInjector(faults, topology)
+        # Outage transitions are pushed before wake events, topology before
+        # faults, so at one instant a leave pops before a crash and both
+        # before a wake, delivery, or alarm (FIFO tie-break).
+        for outages in (self._dynamic, self._injector):
+            if outages is None:
+                continue
+            for event_time, node, kind in outages.node_timeline():
                 if event_time > self.horizon:
                     continue
                 seq = self._seq
                 self._seq = seq + 1
                 heappush(
-                    self._heap,
-                    (event_time, seq, _LEAVE if kind == NODE_LEAVE else _JOIN, node),
-                )
-
-        self._injector: Optional[FaultInjector] = None
-        if faults is not None:
-            self._injector = FaultInjector(faults, topology)
-            # Fault transitions are pushed before wake events so a crash at
-            # time t is processed before a same-time wake (FIFO tie-break).
-            for fault_time, node, kind in self._injector.node_timeline():
-                if fault_time > self.horizon:
-                    continue
-                seq = self._seq
-                self._seq = seq + 1
-                heappush(
-                    self._heap,
-                    (fault_time, seq, _CRASH if kind == NODE_CRASH else _RECOVER, node),
+                    self._heap, (event_time, seq, _KIND_NAMES.index(kind), node)
                 )
 
         if initiators is None:
@@ -612,22 +600,19 @@ class SimulationEngine:
             if self._tracker is not None:
                 self._tracker.note_checkpoint(runtime.idx, self.now)
 
-    def _apply_crash(self, runtime: _NodeRuntime) -> None:
-        runtime.crashed = True
-        self._freeze_rate(runtime)
+    def _transition(self, runtime: _NodeRuntime, kind: int) -> None:
+        """Apply one crash, recover, leave or join to ``runtime``.
 
-    def _apply_recovery(self, runtime: _NodeRuntime) -> None:
-        runtime.crashed = False
-        if runtime.started and not runtime.absent:
-            runtime.algorithm_node.on_recover(self._contexts[runtime.node_id])
-
-    def _apply_leave(self, runtime: _NodeRuntime) -> None:
-        runtime.absent = True
-        self._freeze_rate(runtime)
-
-    def _apply_join(self, runtime: _NodeRuntime) -> None:
-        runtime.absent = False
-        if runtime.started and not runtime.crashed:
+        Going down freezes the rate; coming back calls ``on_recover`` once
+        the node is neither crashed nor absent.
+        """
+        if kind == _CRASH or kind == _RECOVER:
+            runtime.crashed = kind == _CRASH
+        else:
+            runtime.absent = kind == _LEAVE
+        if kind == _CRASH or kind == _LEAVE:
+            self._freeze_rate(runtime)
+        elif runtime.started and not (runtime.crashed or runtime.absent):
             runtime.algorithm_node.on_recover(self._contexts[runtime.node_id])
 
     def _resume_time(self, node: NodeId) -> Optional[float]:
@@ -705,22 +690,10 @@ class SimulationEngine:
             node = entry[3]
             runtime = runtimes[node]
             run_checks = True
-            if kind == _CRASH:
-                self._apply_crash(runtime)
+            if kind < _WAKE:
+                self._transition(runtime, kind)
                 if log is not None:
-                    log.append(("crash", now, node, {}))
-            elif kind == _RECOVER:
-                self._apply_recovery(runtime)
-                if log is not None:
-                    log.append(("recover", now, node, {}))
-            elif kind == _LEAVE:
-                self._apply_leave(runtime)
-                if log is not None:
-                    log.append(("leave", now, node, {}))
-            elif kind == _JOIN:
-                self._apply_join(runtime)
-                if log is not None:
-                    log.append(("join", now, node, {}))
+                    log.append((_KIND_NAMES[kind], now, node, {}))
             elif runtime.crashed or runtime.absent:
                 run_checks = False
                 if kind == _DELIVERY:

@@ -42,7 +42,8 @@ __all__ = [
 
 NodeId = Hashable
 
-#: Absolute numerical slack for invariant comparisons.
+#: Absolute numerical slack for invariant and bound comparisons; the one
+#: such constant (validation, certificates, metrics and the CLI gates import it).
 TOLERANCE = 1e-7
 
 #: Evaluation cells (nodes × instants) one streaming flush may hold.

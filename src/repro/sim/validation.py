@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.sim.monitors import TOLERANCE
 from repro.sim.trace import ExecutionTrace
 
 __all__ = ["ValidationProblem", "ValidationReport", "validate_execution"]
-
-_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def validate_execution(
     low_bound, high_bound = 1 - epsilon, 1 + epsilon
     for node, clock in trace.hardware.items():
         for start, rate in clock.rate_function.segments:
-            if rate < low_bound - _TOLERANCE:
+            if rate < low_bound - TOLERANCE:
                 report._fail(ValidationProblem(
                     check="hardware-rate",
                     node=node,
@@ -108,7 +107,7 @@ def validate_execution(
                     ),
                 ))
                 break
-            if rate > high_bound + _TOLERANCE:
+            if rate > high_bound + TOLERANCE:
                 report._fail(ValidationProblem(
                     check="hardware-rate",
                     node=node,
@@ -122,7 +121,7 @@ def validate_execution(
                 break
 
     for node, start in trace.start_times.items():
-        if start < -_TOLERANCE:
+        if start < -TOLERANCE:
             report._fail(ValidationProblem(
                 check="start-time",
                 node=node,
@@ -140,7 +139,7 @@ def validate_execution(
             ))
 
     for record in trace.message_log:
-        if record.delay < -_TOLERANCE or record.delay > delay_bound + _TOLERANCE:
+        if record.delay < -TOLERANCE or record.delay > delay_bound + TOLERANCE:
             margin = (
                 -record.delay
                 if record.delay < 0
@@ -162,7 +161,7 @@ def validate_execution(
         previous = 0.0
         for t in record.breakpoints_in(0.0, trace.horizon):
             value = record.value(t)
-            if value < previous - _TOLERANCE:
+            if value < previous - TOLERANCE:
                 report._fail(ValidationProblem(
                     check="monotonicity",
                     node=node,

@@ -36,15 +36,10 @@ Interval semantics match the fault layer: an edge or node is absent on
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
-from repro.topology._intervals import (
-    INFINITY as _INFINITY,
-    compile_intervals as _compile_intervals,
-    is_down as _is_down,
-)
+from repro.topology._intervals import Windows, check_time as _check_time, total_overlap
 
 __all__ = [
     "TopologySchedule",
@@ -65,13 +60,6 @@ NODE_LEAVE = "leave"
 NODE_JOIN = "join"
 
 
-def _check_time(name: str, value: float) -> float:
-    value = float(value)
-    if value < 0:
-        raise ScheduleError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 class TopologySchedule:  # reprolint: digest-critical
     """A timeline of edge appear/disappear and node join/leave events.
 
@@ -83,9 +71,9 @@ class TopologySchedule:  # reprolint: digest-critical
                     .joins(9, at=60.0))              # node 9 exists from 60.0
 
     The schedule is interpreted against the execution's *union graph*:
-    every node and edge it names must exist in the static topology, and
-    the static topology must stay connected (the engine validates this
-    at compile time via :class:`CompiledTopologySchedule`).
+    every node and edge it names must exist in the static topology, which
+    is connected (:class:`~repro.topology.generators.Topology` checks that
+    at construction).
     """
 
     def __init__(self, seed: int = 0):
@@ -248,7 +236,7 @@ def merged_downtime(
     schedule and a topology schedule cover a node — a crash during an
     absence must not be counted twice.  With a single source this sums
     the same per-interval overlaps, in the same order, as
-    :meth:`~repro.faults.injector.FaultInjector.downtime_in`.
+    :meth:`~repro.topology._intervals.Windows.overlap`.
     """
     merged: List[Tuple[float, float]] = []
     for start, end in sorted(
@@ -259,12 +247,7 @@ def merged_downtime(
             merged[-1] = (last_start, max(last_end, end))
         else:
             merged.append((start, end))
-    total = 0.0
-    for start, end in merged:
-        overlap = min(end, b) - max(start, a)
-        if overlap > 0.0:
-            total += overlap
-    return total
+    return total_overlap(merged, a, b)
 
 
 class CompiledTopologySchedule:
@@ -286,43 +269,13 @@ class CompiledTopologySchedule:
 
     def __init__(self, schedule: TopologySchedule, topology=None):
         self.schedule = schedule
-        per_node: Dict[NodeId, List[Tuple[float, str]]] = {}
-        for time, node, kind in schedule.node_events:
-            per_node.setdefault(node, []).append((time, kind))
-        per_edge: Dict[Edge, List[Tuple[float, str]]] = {}
-        edge_keys: Dict[Edge, Edge] = {}
-        for time, (u, v), kind in schedule.edge_events:
-            # Normalize to whichever orientation was seen first.
-            key = edge_keys.get((u, v)) or edge_keys.get((v, u)) or (u, v)
-            edge_keys[(u, v)] = edge_keys[(v, u)] = key
-            per_edge.setdefault(key, []).append((time, kind))
-
+        self._nodes = Windows(schedule.node_events, NODE_LEAVE, NODE_JOIN, "node")
+        self._edges = Windows(
+            schedule.edge_events, EDGE_DOWN, EDGE_UP, "edge", pairs=True
+        )
         if topology is not None:
-            known = set(topology.nodes)
-            for node in per_node:
-                if node not in known:
-                    raise ScheduleError(
-                        f"topology schedule names unknown node {node!r}"
-                    )
-            for u, v in per_edge:
-                if v not in topology.neighbors(u):
-                    raise ScheduleError(
-                        f"topology schedule names unknown edge ({u!r}, {v!r})"
-                    )
-
-        self._node_intervals: Dict[NodeId, List[Tuple[float, float]]] = {
-            node: _compile_intervals(
-                events, NODE_LEAVE, NODE_JOIN, f"node {node!r}"
-            )
-            for node, events in per_node.items()
-        }
-        both_ways: Dict[Edge, List[Tuple[float, float]]] = {}
-        for (u, v), events in per_edge.items():
-            intervals = _compile_intervals(
-                events, EDGE_DOWN, EDGE_UP, f"edge ({u!r}, {v!r})"
-            )
-            both_ways[(u, v)] = both_ways[(v, u)] = intervals
-        self._edge_intervals = both_ways
+            for windows in (self._nodes, self._edges):
+                windows.check_targets(topology, "topology schedule")
 
     # -- node state ----------------------------------------------------------
 
@@ -332,18 +285,10 @@ class CompiledTopologySchedule:
         The engine turns these into queue events; join transitions at
         infinity (nodes that leave forever) are not included.
         """
-        timeline: List[Tuple[float, NodeId, str]] = []
-        for node, intervals in self._node_intervals.items():
-            for start, end in intervals:
-                timeline.append((start, node, NODE_LEAVE))
-                if end != _INFINITY:
-                    timeline.append((end, node, NODE_JOIN))
-        timeline.sort(key=lambda item: item[0])
-        return timeline
+        return self._nodes.timeline()
 
     def is_node_absent(self, node: NodeId, t: float) -> bool:
-        intervals = self._node_intervals.get(node)
-        return intervals is not None and _is_down(intervals, t)
+        return self._nodes.is_down(node, t)
 
     def next_presence(self, node: NodeId, t: float) -> Optional[float]:
         """The end of the absence interval covering ``t``, or None.
@@ -351,44 +296,17 @@ class CompiledTopologySchedule:
         ``None`` means the node is either present at ``t`` or absent
         forever.
         """
-        intervals = self._node_intervals.get(node)
-        if not intervals:
-            return None
-        i = bisect_right(intervals, (t, _INFINITY)) - 1
-        if i < 0 or t >= intervals[i][1]:
-            return None
-        end = intervals[i][1]
-        return None if end == _INFINITY else end
+        return self._nodes.next_up(node, t)
 
     def node_absence_intervals(self, node: NodeId) -> Tuple[Tuple[float, float], ...]:
         """The compiled ``[start, end)`` absence intervals of ``node``."""
-        return tuple(self._node_intervals.get(node, ()))
+        return self._nodes.intervals(node)
 
     def absence_in(self, node: NodeId, a: float, b: float) -> float:
         """Total scheduled absence of ``node`` overlapping ``[a, b]``."""
-        total = 0.0
-        for start, end in self._node_intervals.get(node, ()):
-            overlap = min(end, b) - max(start, a)
-            if overlap > 0.0:
-                total += overlap
-        return total
-
-    def absent_nodes(self) -> Tuple[NodeId, ...]:
-        return tuple(self._node_intervals)
+        return self._nodes.overlap(node, a, b)
 
     # -- edge state ----------------------------------------------------------
 
     def is_edge_absent(self, u: NodeId, v: NodeId, t: float) -> bool:
-        intervals = self._edge_intervals.get((u, v))
-        return intervals is not None and _is_down(intervals, t)
-
-    def dynamic_edges(self) -> Tuple[Edge, ...]:
-        """Each dynamic undirected edge once (first-seen orientation)."""
-        seen = []
-        emitted = set()
-        for key, intervals in self._edge_intervals.items():
-            ident = id(intervals)
-            if ident not in emitted:
-                emitted.add(ident)
-                seen.append(key)
-        return tuple(seen)
+        return self._edges.is_down((u, v), t)

@@ -13,10 +13,15 @@ node join/leave, partitions that re-merge.  These tests pin
   (``record_trace=False``) against pinned fingerprints
   (``tests/test_engine_parity.py``), across merge and partition
   scenarios;
-* workers=N == workers=1 byte-identity when a schedule rides the spec.
+* workers=N == workers=1 byte-identity when a schedule rides the spec;
+* the mirror oracle: the same windows given as crashes and downed links
+  or as leaves and absent edges run identically, up to the names in the
+  event log.
 """
 
+import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -26,10 +31,12 @@ from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
 from repro.errors import ScheduleError
 from repro.exec import ExecutionSpec, SweepExecutor
+from repro.faults import FaultSchedule
 from repro.sim.delays import ConstantDelay, UniformDelay
-from repro.sim.drift import TwoGroupDrift
+from repro.sim.drift import RandomWalkDrift, TwoGroupDrift
 from repro.topology.dynamic import CompiledTopologySchedule, TopologySchedule
-from repro.topology.generators import line, ring
+from repro.topology.generators import grid, line, ring
+from repro.variants import FaultTolerantAoptAlgorithm
 from repro.variants.kllo_dynamic import KlloDynamicAlgorithm
 
 pytestmark = pytest.mark.dynamic
@@ -292,6 +299,100 @@ class TestDynamicParity:
         for s, p in zip(serial, pooled):
             assert s.index == p.index and s.error is None and p.error is None
             assert pickle.dumps(s.summary) == pickle.dumps(p.summary)
+
+
+# ---------------------------------------------------------------------------
+# Mirror oracle: a crash is a leave, a downed link is an absent edge
+# ---------------------------------------------------------------------------
+
+#: Fault-layer names → dynamic-topology names, for event-log kinds and
+#: drop reasons.
+_KIND_MIRROR = {"crash": "leave", "recover": "join"}
+_REASON_MIRROR = {"crash": "absent", "link-down": "edge-absent"}
+
+
+def _mirror_windows(seed):
+    """Random node and edge windows on grid(3,3); some never close."""
+    rng = random.Random(f"mirror:{seed}")
+    topology = grid(3, 3)
+    node_windows = []
+    # Nodes are down only after the initialization flood has reached them.
+    for i, node in enumerate(rng.sample(topology.nodes[1:], 2)):
+        start = rng.uniform(8.0, 50.0)
+        end = None if i == 0 and seed % 3 == 0 else start + rng.uniform(2.0, 25.0)
+        node_windows.append((node, start, end))
+    edge_windows = []
+    for i, (u, v) in enumerate(rng.sample(topology.edges(), 3)):
+        start = rng.uniform(0.0, 50.0)
+        end = None if i == 0 and seed % 3 == 1 else start + rng.uniform(2.0, 25.0)
+        edge_windows.append((u, v, start, end))
+    return topology, node_windows, edge_windows
+
+
+def _mirror_specs(seed, algorithm):
+    """The same windows as a FaultSchedule and as a TopologySchedule."""
+    topology, node_windows, edge_windows = _mirror_windows(seed)
+    faults, dynamic = FaultSchedule(), TopologySchedule()
+    for node, start, end in node_windows:
+        faults.crash(node, at=start, until=end)
+        dynamic.leaves(node, at=start, until=end)
+    for u, v, start, end in edge_windows:
+        faults.link_down(u, v, at=start, until=end)
+        dynamic.edge_disappears(u, v, at=start, until=end)
+
+    def spec(**outages):
+        return ExecutionSpec(
+            topology,
+            algorithm(PARAMS),
+            RandomWalkDrift(0.05, 3.0, 0.02, seed=seed),
+            UniformDelay(0.0, 1.0, seed=seed),
+            90.0,
+            **outages,
+        )
+
+    return spec(faults=faults), spec(topology_schedule=dynamic)
+
+
+def _mirrored_log(event_log):
+    mirrored = []
+    for kind, time, node, data in event_log:
+        if kind == "drop":
+            data = dict(data, reason=_REASON_MIRROR.get(data["reason"], data["reason"]))
+        mirrored.append((_KIND_MIRROR.get(kind, kind), time, node, data))
+    return mirrored
+
+
+@pytest.mark.faults
+class TestOutageMirror:
+    """Crash/link-down and leave/edge-disappear windows run identically.
+
+    Both layers compile to one window type; this is the check that the
+    two sources do not drift apart behind it.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "algorithm", [AoptAlgorithm, FaultTolerantAoptAlgorithm], ids=["aopt", "aopt-ft"]
+    )
+    def test_faults_and_dynamic_topology_agree(self, seed, algorithm):
+        fault_spec, dynamic_spec = _mirror_specs(seed, algorithm)
+        fault_trace, _ = fault_spec.run(record_events=True)
+        dynamic_trace, _ = dynamic_spec.run(record_events=True)
+        assert fault_trace.global_skew() == dynamic_trace.global_skew()
+        assert fault_trace.local_skew() == dynamic_trace.local_skew()
+        for name in ("events_processed", "messages_dropped", "messages_lost_link",
+                     "messages_lost_crash", "downtime", "messages_sent"):
+            assert getattr(fault_trace, name) == getattr(dynamic_trace, name), name
+        assert fault_trace.messages_lost_link + fault_trace.messages_lost_crash > 0
+        assert _mirrored_log(fault_trace.event_log) == dynamic_trace.event_log
+
+        fault_stream, dynamic_stream = (
+            dataclasses.replace(
+                spec.with_record_trace(False).run_summary(), spec_digest="", label=""
+            )
+            for spec in (fault_spec, dynamic_spec)
+        )
+        assert fault_stream == dynamic_stream
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,9 @@ class TestFaultInjector:
         with pytest.raises(ScheduleError, match="unknown link"):
             # 0 and 2 are both real nodes but not adjacent on a line.
             FaultInjector(FaultSchedule().link_down(0, 2, at=1.0), topology)
+        with pytest.raises(ScheduleError, match=r"unknown link \(99, 0\)"):
+            # An endpoint outside the graph is a ScheduleError, not a KeyError.
+            FaultInjector(FaultSchedule().link_down(99, 0, at=1.0), topology)
 
     def test_node_timeline_sorted_without_infinity(self):
         injector = FaultInjector(
