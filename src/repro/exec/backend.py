@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.exec.cache import CorruptEntry, load_pickle
 from repro.exec.retry import RetryOutcome, RetryPolicy, format_error, run_with_retry
 from repro.obs.metrics import SweepMetrics
 
@@ -239,9 +240,8 @@ class WorkQueue:
 
     def load_spec(self, key: str) -> Optional[Any]:
         try:
-            with open(self.spec_path(key), "rb") as handle:
-                entry = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            entry = load_pickle(self.spec_path(key))
+        except (FileNotFoundError, CorruptEntry):
             return None
         if not isinstance(entry, dict) or entry.get("key") != key:
             return None
@@ -257,11 +257,8 @@ class WorkQueue:
 
     def read_result(self, key: str) -> Optional[Dict[str, Any]]:
         try:
-            with open(self.result_path(key), "rb") as handle:
-                record = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            record = load_pickle(self.result_path(key))
+        except (FileNotFoundError, CorruptEntry):
             return None
         if not isinstance(record, dict) or record.get("key") != key:
             return None

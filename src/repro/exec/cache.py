@@ -40,11 +40,17 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.exec.summary import ExecutionSummary
 
-__all__ = ["ResultCache", "CACHE_VERSION", "default_cache_root"]
+__all__ = [
+    "ResultCache",
+    "CACHE_VERSION",
+    "CorruptEntry",
+    "default_cache_root",
+    "load_pickle",
+]
 
 #: On-disk entry format version; see module docstring.
 #: v2: ExecutionSummary gained fault-accounting fields.
@@ -56,6 +62,29 @@ __all__ = ["ResultCache", "CACHE_VERSION", "default_cache_root"]
 #: v6: FaultSchedule gained Byzantine events (all digests shifted with
 #: SPEC_DIGEST_VERSION 5, orphaning every v5 entry).
 CACHE_VERSION = 6
+
+
+class CorruptEntry(Exception):
+    """A pickle file exists but cannot be loaded."""
+
+
+def load_pickle(path: Union[str, Path]) -> Any:
+    """The object pickled at ``path``.
+
+    Raises :class:`FileNotFoundError` when there is no file, and
+    :class:`CorruptEntry` when there is one that fails to load for any
+    reason: truncated bytes, a malformed opcode or literal, or a class
+    or module that no longer exists.  The cache and the work queue read
+    every entry through here, so an unreadable entry is a miss to them,
+    never an error.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return pickle.load(handle)
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise CorruptEntry(f"unreadable pickle {path}: {exc!r}") from exc
 
 
 def default_cache_root() -> Path:
@@ -84,19 +113,19 @@ class ResultCache:
     def get(self, digest: str) -> Optional[ExecutionSummary]:
         """The stored summary for ``digest``, or None on any miss/corruption.
 
-        A truncated, unpicklable, or mis-keyed entry is *quarantined* —
-        renamed to ``<entry>.corrupt`` — so the poisoned bytes never get
-        re-read on the next lookup and remain on disk for post-mortem.
+        A truncated, unloadable (:func:`load_pickle`), or mis-keyed entry
+        is *quarantined* — renamed to ``<entry>.corrupt`` — so the
+        poisoned bytes never get re-read on the next lookup and remain
+        on disk for post-mortem.
         The lookup itself still reports a clean miss.
         """
         path = self.path_for(digest)
         try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
+            entry = load_pickle(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except CorruptEntry:
             self.corrupt += 1
             self._quarantine(path)
             return None

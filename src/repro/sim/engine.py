@@ -113,10 +113,13 @@ NodeId = Hashable
 #: so hitting the cap indicates a message storm or alarm loop.
 DEFAULT_MAX_EVENTS = 20_000_000
 
-#: Largest network for which the engine will record a full trace.  A
-#: trace holds every clock breakpoint of every node, so beyond this size
-#: the engine refuses upfront (clear error now beats an OOM kill later);
-#: pass ``record_trace=False`` for streaming evaluation, or raise the cap
+#: Largest network for which the engine will record a full trace.  The
+#: cap bounds the records: a trace holds every clock breakpoint of every
+#: node, so beyond this size the engine refuses upfront (clear error now
+#: beats an OOM kill later).  Skew evaluation over a trace adds no
+#: nodes × instants matrix (it folds in windows of ``FLUSH_CELLS`` cells,
+#: see ``repro.sim.trace``), so the cap does not bound it.  Pass
+#: ``record_trace=False`` for streaming evaluation, or raise the cap
 #: explicitly via ``trace_node_cap`` if the machine really has the RAM.
 DEFAULT_TRACE_NODE_CAP = 50_000
 

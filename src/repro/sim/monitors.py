@@ -28,7 +28,13 @@ from time import perf_counter
 from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation
-from repro.sim.trace import LogicalClockRecord, SkewExtremum, _fold_window
+from repro.sim.trace import (
+    FLUSH_CELLS,
+    LogicalClockRecord,
+    SkewExtremum,
+    _fold_window,
+    _stack,
+)
 
 __all__ = [
     "Violation",
@@ -45,9 +51,6 @@ NodeId = Hashable
 #: Absolute numerical slack for invariant and bound comparisons; the one
 #: such constant (validation, certificates, metrics and the CLI gates import it).
 TOLERANCE = 1e-7
-
-#: Evaluation cells (nodes × instants) one streaming flush may hold.
-FLUSH_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,11 @@ class StreamingSkewTracker:
     *Collect, then flush.*  :meth:`advance` pops every instant before
     the event frontier off the heap — an instant is final once popped —
     into a pending window with the nodes that own it.  A full window
-    (:attr:`window_instants` instants, ``max(1, 16384 // nodes)``) and
-    the horizon endpoint in :meth:`finalize` are *flushed* through
+    (:attr:`window_instants` instants, ``max(1, FLUSH_CELLS // nodes)``)
+    and the horizon endpoint in :meth:`finalize` are *flushed* through
     ``repro.sim.trace._fold_window``, the one skew fold trace mode's
-    ``global_skew`` and ``max_pair_skew`` run too (numpy, sweeps or
+    ``global_skew`` and ``max_pair_skew`` run too, in windows of the
+    same budget (one stacked numpy kernel built per flush, sweeps or
     per-instant methods, chosen by window size); the window's winners
     then merge into the running bests with strict ``>``.
     Deferring evaluation is exact: every later checkpoint lands at or
@@ -340,8 +344,10 @@ class StreamingSkewTracker:
             for e in edge_ids:
                 pair_edges.append(e)
                 pair_instants.append(k)
+        records = self._records
         spread, k, hi, lo, winners = _fold_window(
-            self._records, ts, pair_edges, pair_instants, self._edge_idx
+            records, ts, _stack(records, ts),
+            pair_edges, pair_instants, self._edge_idx,
         )
         # A window's first winner beats the running best only if strictly
         # larger: the same result as one strict > scan across windows.
@@ -354,7 +360,6 @@ class StreamingSkewTracker:
                 edge_best_v[e], edge_best_t[e] = value, ts[at]
         if self._prune:
             last = ts[-1]
-            records = self._records
             for owners in self._window_owners:
                 for idx in owners:
                     records[idx].prune_to(last)

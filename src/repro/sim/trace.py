@@ -36,7 +36,12 @@ try:  # numpy is optional; every result below is identical without it.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-#: Window size (instants) from which the skew fold evaluates through numpy.
+#: Evaluation cells (records × instants) one window of the skew fold may
+#: hold: a fold over more instants runs in windows of
+#: ``max(1, FLUSH_CELLS // records)`` (the streaming tracker's flush).
+FLUSH_CELLS = 16384
+
+#: Fold size (instants) from which the skew fold evaluates through numpy.
 VECTOR_MIN_INSTANTS = 64
 
 #: Window size from which the pure-Python fold uses the batched sweeps;
@@ -346,57 +351,212 @@ class LogicalClockRecord:
         return self._count
 
 
-def _vector_values(record: LogicalClockRecord, ts: "_np.ndarray"):
-    """``(right, left)`` value arrays of ``record`` at ascending ``ts``.
+class _Stack:
+    """Every record's clock, flattened into numpy arrays for one fold.
 
-    Bit-identical to the scalar :meth:`LogicalClockRecord.value` /
-    :meth:`value_left`: every arithmetic step below is the same sequence
-    of correctly-rounded float64 operations applied elementwise, and
-    ``searchsorted(side='right') - 1`` is exactly ``bisect_right - 1``
-    (with ``side='left'`` matching the left limit's step-back at exact
-    checkpoint hits).  No reductions, so no reordered rounding.
+    Built once per fold over ascending ``points`` (once per
+    ``global_skew`` or ``max_pair_skew`` call, once per streaming
+    flush).  Row ``r`` keeps the slices of its record's checkpoint lists
+    (times, values, multipliers, anchors) and of its hardware rate
+    segments (times, cumulative integrals, rates) that instants in
+    ``[points[0], points[-1]]`` read, found by bisect, at a row offset
+    into each flat array.  One padding entry leads each flat array, so
+    the index one before a row's first segment, which only masked
+    positions read, stays in bounds.  A ``None`` row, a node not yet
+    started, starts at ``inf``: every position masks to 0.0.
+
+    Every row's checkpoint times and rate breakpoints are also kept in
+    one list sorted by time, each tagged with its row (``r`` for a
+    checkpoint, ``rows + r`` for a rate breakpoint).  :meth:`columns`
+    then evaluates all rows over one window of the fold with a fixed
+    number of numpy calls: a window's breakpoints are one contiguous run
+    of that list, and per-row counts of the breakpoints before the
+    window advance with the windows, which a fold visits in ascending
+    order.
 
     A pruned record is answered wherever both one-sided limits are: a
     point in ``[start, kept prefix]`` raises :class:`TraceError`, as the
     scalar methods do, instead of being masked to a wrong 0.0.
     """
-    start = record._start
-    first = record._times[0]
-    if first != start:
-        k = int(_np.searchsorted(ts, start, side="left"))
-        if k < len(ts) and ts[k] <= first:
-            raise TraceError(
-                f"time {float(ts[k])} falls in the pruned prefix of this "
-                f"clock record (kept from {first})"
-            )
-    hardware = record._hardware
-    rate = hardware._rate
-    rate_times = _np.asarray(rate._times)
-    j = _np.searchsorted(rate_times, ts, side="right") - 1
-    # Positions with t <= start are masked to 0.0 below; their (possibly
-    # negative) segment indices only ever produce overwritten garbage.
-    integrals = _np.asarray(rate._cumulative)[j] + _np.asarray(rate._rates)[j] * (
-        ts - rate_times[j]
-    )
-    hw_values = integrals - hardware._start_integral
-    hw_values[ts <= hardware._start_time] = 0.0
 
-    times = _np.asarray(record._times)
-    values = _np.asarray(record._values)
-    multipliers = _np.asarray(record._multipliers)
-    anchors = _np.asarray(record._anchor_hws)
-    i = _np.searchsorted(times, ts, side="right") - 1
-    right = values[i] + multipliers[i] * (hw_values - anchors[i])
-    right[ts < start] = 0.0
-    i = _np.searchsorted(times, ts, side="left") - 1
-    left = values[i] + multipliers[i] * (hw_values - anchors[i])
-    left[ts <= start] = 0.0
-    return right, left
+    __slots__ = (
+        "_values", "_multipliers", "_anchors", "_cumulative", "_rates",
+        "_rate_times", "_starts", "_hw_starts", "_start_integrals",
+        "_offsets", "_rate_offsets", "_breakpoints", "_tags",
+        "_first", "_cursor", "_before",
+    )
+
+    def __init__(
+        self, records: Sequence[Optional[LogicalClockRecord]], points: List[float]
+    ):
+        t0, t1 = points[0], points[-1]
+        inf = float("inf")
+        # Per row, the (list owner, lo, hi) slices each flat array holds.
+        spans: List[tuple] = []
+        rate_spans: List[tuple] = []
+        starts, hw_starts, start_integrals = [], [], []
+        offsets, rate_offsets = [], []
+        size = rate_size = 1
+        for record in records:
+            offsets.append(size)
+            rate_offsets.append(rate_size)
+            if record is None:
+                starts.append(inf)
+                hw_starts.append(inf)
+                start_integrals.append(0.0)
+                continue
+            times, start = record._times, record._start
+            if times[0] != start:
+                k = bisect_left(points, start)
+                if k < len(points) and points[k] <= times[0]:
+                    raise TraceError(
+                        f"time {points[k]} falls in the pruned prefix of this "
+                        f"clock record (kept from {times[0]})"
+                    )
+            lo = max(bisect_left(times, t0) - 1, 0)
+            hi = max(bisect_right(times, t1), lo + 1)
+            spans.append((record, lo, hi))
+            size += hi - lo
+            hardware = record._hardware
+            rate = hardware._rate
+            lo = max(bisect_right(rate._times, t0) - 1, 0)
+            hi = max(bisect_right(rate._times, t1), lo + 1)
+            rate_spans.append((rate, lo, hi))
+            rate_size += hi - lo
+            starts.append(start)
+            hw_starts.append(hardware._start_time)
+            start_integrals.append(hardware._start_integral)
+        self._values = _flatten(spans, "_values")
+        self._multipliers = _flatten(spans, "_multipliers")
+        self._anchors = _flatten(spans, "_anchor_hws")
+        self._rate_times = _flatten(rate_spans, "_times")
+        self._cumulative = _flatten(rate_spans, "_cumulative")
+        self._rates = _flatten(rate_spans, "_rates")
+        self._starts = _np.array(starts)[:, None]
+        self._hw_starts = _np.array(hw_starts)[:, None]
+        self._start_integrals = _np.array(start_integrals)[:, None]
+        self._offsets = _np.array(offsets, dtype=_np.intp)
+        self._rate_offsets = _np.array(rate_offsets, dtype=_np.intp)
+        breakpoints = _np.concatenate(
+            (_flatten(spans, "_times")[1:], self._rate_times[1:])
+        )
+        tags = _np.repeat(
+            _np.arange(2 * len(offsets), dtype=_np.int32),
+            _np.diff(
+                _np.concatenate((self._offsets, self._rate_offsets + size - 1)),
+                append=size + rate_size - 1,
+            ),
+        )
+        order = _np.argsort(breakpoints, kind="stable")
+        self._breakpoints = breakpoints[order]
+        del breakpoints  # one unsorted copy at a time bounds the peak
+        self._tags = tags[order]
+        # Per-tag counts of the breakpoints before the last window's first
+        # instant, and the sorted-list position they run up to.
+        self._first = -inf
+        self._cursor = 0
+        self._before = 0
+
+    def columns(self, ts: List[float]):
+        """``(right, left)``: rows × ``len(ts)`` value and left-limit arrays.
+
+        Bit-identical to :meth:`LogicalClockRecord.value` /
+        :meth:`~LogicalClockRecord.value_left` at ascending ``ts``, a
+        window of the fold's points.  A row's segment index at an instant
+        is its index before ``ts[0]`` plus the number of its window
+        breakpoints at or before the instant: one ``searchsorted`` places
+        the window's breakpoints among the instants, and a
+        ``bincount``/``cumsum`` along the instants counts them per row, so
+        the index is exactly the scalar methods' ``bisect_right − 1``.
+        The left limit steps one segment back where a checkpoint falls on
+        the instant (``bisect_left − 1``).  Every value is then the same
+        sequence of correctly-rounded float64 operations, applied
+        elementwise; no reductions, so no reordered rounding.
+        """
+        first, last = ts[0], ts[-1]
+        n_rows, n_inst = len(self._offsets), len(ts)
+        if first < self._first:
+            # A window before the last one: count from the fold's start.
+            self._cursor = self._before = 0
+        self._first = first
+        breakpoints, tags = self._breakpoints, self._tags
+        lo = int(_np.searchsorted(breakpoints, first, side="left"))
+        hi = int(_np.searchsorted(breakpoints, last, side="right"))
+        before = self._before + _np.bincount(
+            tags[self._cursor:lo], minlength=2 * n_rows
+        )
+        self._cursor, self._before = lo, before
+        instants = _np.asarray(ts)
+        # Per tag, the window breakpoints at or before each instant, over
+        # n_inst + 1 slots (the last holds what no instant counts).
+        inside, tags = breakpoints[lo:hi], tags[lo:hi]
+        at = _np.searchsorted(instants, inside, side="left")
+        slots = n_inst + 1
+        counts = _np.cumsum(  # reprolint: exact-fold (integer counts)
+            _np.bincount(tags * slots + at, minlength=2 * n_rows * slots)
+            .reshape(2, n_rows, slots),
+            axis=2,
+            dtype=_np.int32,
+        )[:, :, :n_inst]
+        j = (self._rate_offsets + before[n_rows:] - 1)[:, None] + counts[1]
+        i = (self._offsets + before[:n_rows] - 1)[:, None] + counts[0]
+        del counts
+        # The contract's expressions, evaluated in place to hold fewer
+        # rows × instants temporaries: IEEE-754 + and * commute exactly,
+        # so ``h = c + r * (t − s)`` computed as ``((t − s) * r) + c`` is
+        # the same float.  Positions with t <= the hardware start are
+        # masked to 0.0; their segment indices only produce garbage.
+        hw_values = self._rate_times[j]
+        _np.subtract(instants, hw_values, out=hw_values)
+        hw_values *= self._rates[j]
+        hw_values += self._cumulative[j]
+        hw_values -= self._start_integrals
+        hw_values[instants <= self._hw_starts] = 0.0
+        del j
+        right = self._anchors[i]
+        _np.subtract(hw_values, right, out=right)
+        right *= self._multipliers[i]
+        right += self._values[i]
+        right[instants < self._starts] = 0.0
+        # The left limit reads the segment before wherever a checkpoint
+        # falls exactly on the instant, and the right value's elsewhere.
+        left = right.copy()
+        hit = (tags < n_rows) & (instants[at] == inside)
+        cells = (tags[hit], at[hit])
+        i = i[cells] - 1
+        left[cells] = self._values[i] + self._multipliers[i] * (
+            hw_values[cells] - self._anchors[i]
+        )
+        left[instants <= self._starts] = 0.0
+        return right, left
+
+
+def _flatten(spans, name: str):
+    """The padding entry 0.0, then ``getattr(owner, name)[lo:hi]`` of each
+    ``(owner, lo, hi)`` span, as one float64 array."""
+    flat = [0.0]
+    for owner, lo, hi in spans:
+        flat += getattr(owner, name)[lo:hi]
+    return _np.array(flat)
+
+
+def _stack(
+    records: Sequence[Optional[LogicalClockRecord]], points: List[float]
+) -> Optional[_Stack]:
+    """The stacked kernel for one fold over ascending ``points``.
+
+    ``None`` (the fold evaluates in pure Python) without numpy or below
+    :data:`VECTOR_MIN_INSTANTS` instants.
+    """
+    if _np is None or len(points) < VECTOR_MIN_INSTANTS:
+        return None
+    return _Stack(records, points)
 
 
 def _fold_window(
     records: Sequence[Optional[LogicalClockRecord]],
     ts: List[float],
+    stack: Optional[_Stack],
     pair_edges: Sequence[int] = (),
     pair_instants: Sequence[int] = (),
     edge_ends: Sequence[Tuple[int, int]] = (),
@@ -417,20 +577,15 @@ def _fold_window(
     ``(value, k)`` of its largest ``|L_a − L_b|``, ``(a, b) =
     edge_ends[e]``, over the slots ``pair_instants`` lists for it.
 
-    Columns come from ``_vector_values`` from :data:`VECTOR_MIN_INSTANTS`
-    instants on (numpy installed), else from the ``values_at`` /
-    ``values_left_at`` sweeps from :data:`SWEEP_MIN_INSTANTS` on, else
-    from ``value`` / ``value_left`` per instant.  All three compute the
-    same floats, and both folds below pick the same winners.
+    Columns come from ``stack`` (the fold's :class:`_Stack`, see
+    :func:`_stack`) when there is one, else from the ``values_at`` /
+    ``values_left_at`` sweeps from :data:`SWEEP_MIN_INSTANTS` instants
+    on, else from ``value`` / ``value_left`` per instant.  All three
+    compute the same floats, and both folds below pick the same winners.
     """
     n_inst = len(ts)
-    if _np is not None and n_inst >= VECTOR_MIN_INSTANTS:
-        times = _np.asarray(ts)
-        rights = _np.zeros((len(records), n_inst))
-        lefts = _np.zeros((len(records), n_inst))
-        for row, record in enumerate(records):
-            if record is not None:
-                rights[row], lefts[row] = _vector_values(record, times)
+    if stack is not None:
+        rights, lefts = stack.columns(ts)
         # Column max/min select floats without rounding, so the spreads
         # are the differences the pure-Python fold computes; argmax over
         # the right/left interleaving keeps the first of equal maxima.
@@ -507,6 +662,29 @@ def _fold_window(
         if held is None or magnitude > held[0]:
             winners[e] = (magnitude, k)
     return best + (winners,)
+
+
+def _fold_points(
+    records: Sequence[LogicalClockRecord], points: List[float]
+) -> Tuple[float, int, int, int]:
+    """``(spread, k, hi, lo)`` of :func:`_fold_window` over all ``points``.
+
+    Folds in windows of ``max(1, FLUSH_CELLS // len(records))`` instants,
+    the streaming flush's budget, through one :class:`_Stack` built for
+    the whole fold, so the evaluation holds O(window) cells however long
+    the trace.  A later window replaces the best only if strictly
+    larger, so the first arg-max wins exactly as in one window.
+    """
+    width = max(1, FLUSH_CELLS // max(len(records), 1))
+    stack = _stack(records, points)
+    best = (-1.0, 0, 0, 0)
+    for first in range(0, len(points), width):
+        spread, k, hi, lo, _ = _fold_window(
+            records, points[first : first + width], stack
+        )
+        if spread > best[0]:
+            best = (spread, first + k, hi, lo)
+    return best
 
 
 @dataclass(frozen=True)
@@ -612,7 +790,7 @@ class ExecutionTrace:
         t0 = 0.0 if t0 is None else t0
         t1 = self.horizon if t1 is None else t1
         points = self._pair_eval_points(a, b, t0, t1)
-        value, k, _, _, _ = _fold_window((self.logical[a], self.logical[b]), points)
+        value, k, _, _ = _fold_points((self.logical[a], self.logical[b]), points)
         return SkewExtremum(value, points[k], a, b)
 
     def global_skew(
@@ -630,7 +808,7 @@ class ExecutionTrace:
             points.update(rec.breakpoints_in(t0, t1))
         eval_points = sorted(points)
         nodes = list(self.logical)
-        value, k, hi, lo, _ = _fold_window(list(self.logical.values()), eval_points)
+        value, k, hi, lo = _fold_points(list(self.logical.values()), eval_points)
         return SkewExtremum(value, eval_points[k], nodes[hi], nodes[lo])
 
     def local_skew(

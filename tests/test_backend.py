@@ -74,6 +74,16 @@ def _specs(count: int, horizon: float = HORIZON):
     ]
 
 
+#: Entries that exist but fail to unpickle with something other than
+#: an ``UnpicklingError``: each must read as a miss, never raise.
+UNLOADABLE_PICKLES = {
+    # A class in a module that no longer exists (ModuleNotFoundError).
+    "deleted-module": b"crepro.sim.events\nEvent\n)\x81.",
+    # A malformed INT literal (ValueError).
+    "bad-int-literal": b"I12x\n.",
+}
+
+
 class AlwaysFailingDelay(DelayModel):
     """Raises on every message — a permanently poisonous spec.
 
@@ -401,6 +411,18 @@ class TestWorkQueueLeases:
         os.replace(queue.result_path("k"), queue.result_path("other"))
         assert queue.read_result("other") is None
 
+    @pytest.mark.parametrize("payload", sorted(UNLOADABLE_PICKLES))
+    def test_unloadable_entries_read_as_none(self, tmp_path, payload):
+        queue = WorkQueue(tmp_path)
+        queue.ensure()
+        queue.enqueue("k", _specs(1)[0])
+        queue.write_result("k", {"summary": None, "error": "x"})
+        for path in (queue.spec_path("k"), queue.result_path("k")):
+            with open(path, "wb") as handle:
+                handle.write(UNLOADABLE_PICKLES[payload])
+        assert queue.load_spec("k") is None
+        assert queue.read_result("k") is None
+
 
 # ---------------------------------------------------------------------------
 # Backend equivalence & resolution
@@ -723,6 +745,18 @@ class TestCacheCorruptionQuarantine:
     def _summary(self):
         spec = _specs(1, horizon=5.0)[0]
         return spec.digest(), spec.run_summary()
+
+    @pytest.mark.parametrize("payload", sorted(UNLOADABLE_PICKLES))
+    def test_unloadable_entry_quarantined(self, tmp_path, payload):
+        cache = ResultCache(tmp_path)
+        digest, summary = self._summary()
+        cache.put(digest, summary)
+        path = cache.path_for(digest)
+        path.write_bytes(UNLOADABLE_PICKLES[payload])
+        assert cache.get(digest) is None
+        assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 1)
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert not path.exists()
 
     def test_truncated_entry_quarantined_not_reread(self, tmp_path):
         cache = ResultCache(tmp_path)

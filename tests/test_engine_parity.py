@@ -18,7 +18,7 @@ last float bit.  These tests pin that contract three ways:
   incrementally instead of materializing a trace; both modes meet the
   same pin, while their (deliberately different) spec digests differ.
 * **fold paths** — every evaluation path of the skew fold (numpy,
-  sweeps, per-instant) gives the same extrema.
+  sweeps, per-instant) gives the same extrema, at any window size.
 
 The scenario matrix reuses the certification fuzzer
 (:func:`repro.cert.fuzzer.sample_scenario`): seeded draws over
@@ -453,6 +453,24 @@ class TestVectorScalarParity:
             assert pickle.dumps(extremum) == pickle.dumps(
                 SkewExtremum(value, t, 3, 4)
             )
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 64, 257])
+    @pytest.mark.parametrize("path", sorted(FOLD_PATHS))
+    def test_window_size_does_not_change_results(self, monkeypatch, path, window):
+        """Trace mode folds in windows of ``FLUSH_CELLS // records``
+        instants: any window size gives the one-window extrema."""
+        import repro.sim.trace as trace_mod
+
+        trace = self._trace("max-forward")
+        _fold_path(monkeypatch, path)
+        monkeypatch.setattr(trace_mod, "FLUSH_CELLS", 10**9)
+        whole = (trace.global_skew(), trace.local_skew(), trace.max_pair_skew(3, 4))
+        assert len(self._points(trace, trace.logical)) > 2 * window
+        monkeypatch.setattr(trace_mod, "FLUSH_CELLS", window * len(trace.logical))
+        windowed = (trace.global_skew(),)
+        monkeypatch.setattr(trace_mod, "FLUSH_CELLS", window * 2)
+        windowed += (trace.local_skew(), trace.max_pair_skew(3, 4))
+        assert pickle.dumps(windowed) == pickle.dumps(whole)
 
     def test_vector_results_are_plain_floats(self):
         # np.float64 leaking into a summary would change pickles and JSON

@@ -18,7 +18,8 @@ The fold runs in flushed windows of pending instants; the window size
 and the numpy/pure-Python switch are patched per test so that windows
 evaluated with the scalar methods, with the pure-Python sweeps and with
 numpy over pruned records, and numpy-free installs, each meet the same
-oracle.
+oracle.  Trace mode folds in windows of the same budget, and must reach
+the tracker's extrema at each of those window sizes too.
 
 The dedup regression from PR 3 — a logical checkpoint landing exactly on
 a hardware rate breakpoint is ONE linearity breakpoint, not two — gets a
@@ -313,6 +314,11 @@ class TestWindowedFold:
         window, vector_min = WINDOW_CONFIGS[config]
         tracker, trace, topology = self._fold(seed, n_nodes, window, vector_min)
         _assert_matches_oracle(tracker, trace, topology)
+        # Trace mode folds in the same windows to the same extremum.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_mod, "FLUSH_CELLS", window * n_nodes)
+            patch.setattr(trace_mod, "VECTOR_MIN_INSTANTS", vector_min)
+            assert trace.global_skew() == tracker.global_extremum()
 
     @given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 5))
     @settings(max_examples=20, deadline=None)
@@ -343,6 +349,13 @@ class TestWindowedFold:
         trace = _build_oracle_trace(ensemble, topology)
         assert trace.local_skew().time == 0.5
         _assert_matches_oracle(tracker, trace, topology)
+        # Trace mode in the same windows: the ties still go to t = 0.5.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_mod, "FLUSH_CELLS", window * 2)
+            patch.setattr(trace_mod, "VECTOR_MIN_INSTANTS", vector_min)
+            windowed = (trace.global_skew(), trace.local_skew())
+        assert windowed == (tracker.global_extremum(), tracker.local_extremum())
+        assert windowed[0].time == windowed[1].time == 0.5
 
 
 def _busy_record(start: float = 0.0):
@@ -362,32 +375,73 @@ def _busy_record(start: float = 0.0):
     return record
 
 
+def _stacked_columns(records, points, window):
+    """The stacked kernel's ``(rights, lefts)`` rows of ``records`` at
+    ``points``: one fold over all of them, in windows of ``window``."""
+    stack = trace_mod._Stack(records, points)
+    rights, lefts = [[] for _ in records], [[] for _ in records]
+    for k in range(0, len(points), window):
+        right, left = stack.columns(points[k : k + window])
+        for row in range(len(records)):
+            rights[row] += right[row].tolist()
+            lefts[row] += left[row].tolist()
+    return rights, lefts
+
+
 class TestPrunedVectorKernel:
     def test_pruned_record_matches_unpruned_sweeps(self):
-        numpy = pytest.importorskip("numpy")
+        pytest.importorskip("numpy")
         pruned, twin = _busy_record(start=2.0), _busy_record(start=2.0)
         pruned.prune_to(15.0)
         kept_from = pruned._times[0]
         assert kept_from > pruned.start_time  # really pruned
-        # Before the start, after the kept prefix, at a checkpoint and a
-        # jump instant, at a rate breakpoint, and past the last checkpoint.
-        points = [0.0, 1.5, kept_from + 0.1, 15.0, 16.75, 21.0, 22.0, 40.0]
-        right, left = trace_mod._vector_values(pruned, numpy.asarray(points))
-        assert right.tolist() == twin.values_at(points)
-        assert left.tolist() == twin.values_left_at(points)
+        # A record that starts inside the window, and absent (None) rows.
+        late, late_twin = _busy_record(start=16.0), _busy_record(start=16.0)
+        # Before the start, after the kept prefix, at a checkpoint, at
+        # each record's jump (16.25, 17.5), at a rate breakpoint, and past
+        # the last checkpoint.
+        points = [
+            0.0, 1.5, kept_from + 0.1, 15.0, 16.0, 16.25, 16.75, 17.5,
+            21.0, 22.0, 40.0,
+        ]
+        assert {16.25, 17.5} <= set(pruned.jump_times + late.jump_times)
+        zeros = [0.0] * len(points)
+        # One window, then windows that start and end anywhere in the fold.
+        for window in (len(points), 1, 3):
+            rights, lefts = _stacked_columns(
+                [None, pruned, late, None], points, window
+            )
+            assert rights == [
+                zeros, twin.values_at(points), late_twin.values_at(points), zeros,
+            ]
+            assert lefts == [
+                zeros, twin.values_left_at(points),
+                late_twin.values_left_at(points), zeros,
+            ]
+
+    def test_windows_in_any_order(self):
+        """Windows of one fold usually ascend; one that starts earlier
+        than the last counts its rows' breakpoints afresh."""
+        pytest.importorskip("numpy")
+        records = [_busy_record(start=2.0), None, _busy_record(start=16.0)]
+        points = [0.0, 2.0, 3.5, 7.75, 9.0, 16.25, 17.5, 30.0]
+        stack = trace_mod._Stack(records, points)
+        whole = [column.tolist() for column in stack.columns(points)]
+        late = [column.tolist() for column in stack.columns(points[4:])]
+        again = [column.tolist() for column in stack.columns(points[1:])]
+        assert late == [[row[4:] for row in side] for side in whole]
+        assert again == [[row[1:] for row in side] for side in whole]
 
     @pytest.mark.parametrize("offset", [0.0, 0.05])
     def test_query_in_pruned_prefix_raises(self, offset):
-        numpy = pytest.importorskip("numpy")
+        pytest.importorskip("numpy")
         record = _busy_record(start=2.0)
         record.prune_to(15.0)
         inside = record.start_time + offset
         with pytest.raises(TraceError, match="pruned prefix"):
-            trace_mod._vector_values(record, numpy.asarray([1.0, inside, 16.0]))
+            _stacked_columns([None, record], [1.0, inside, 16.0], 3)
         with pytest.raises(TraceError, match="pruned prefix"):
-            trace_mod._vector_values(
-                record, numpy.asarray([record._times[0], 16.0])
-            )
+            _stacked_columns([record, None], [record._times[0], 16.0], 2)
 
 
 class TestBatchedSweeps:

@@ -7,6 +7,11 @@ Streaming mode (``record_trace=False``) has no cap: the skew fold holds
 O(nodes + edges) state and prunes consumed record segments as its
 frontier advances.
 
+Trace mode's skew evaluation is bounded too: it folds in windows of
+``FLUSH_CELLS`` cells, so ``summarize_trace`` on a ``line(64)``,
+horizon-600 trace allocates a few MiB, not two nodes × instants float
+matrices.
+
 The 100k-node test is ``slow``-marked (tier-1 excludes it; CI opts in
 with ``-m slow``).  Its thresholds are deliberately loose — an
 order-of-magnitude guard against O(events) memory or quadratic fold
@@ -24,6 +29,8 @@ import pytest
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
 from repro.errors import ReproError, SimulationError
+from repro.exec.spec import ExecutionSpec
+from repro.exec.summary import summarize_trace
 from repro.sim.delays import ConstantDelay
 from repro.sim.drift import TwoGroupDrift
 from repro.sim.engine import DEFAULT_TRACE_NODE_CAP, SimulationEngine
@@ -78,6 +85,33 @@ class TestTraceNodeCap:
             initiators=line(8).nodes, trace_node_cap=8,
         )
         assert trace.events_processed > 0
+
+
+class TestTraceFoldMemory:
+    """Trace mode folds its skews in windows of ``FLUSH_CELLS`` cells, so
+    the after-the-fact evaluation holds O(window) floats: two nodes ×
+    instants float matrices of this trace (64 × 27,471) take 27 MiB."""
+
+    PEAK_CEILING_BYTES = 8 * 1024 * 1024
+
+    def test_line64_summary_peak_is_bounded(self):
+        n = 64
+        drift, delay = _models(n)
+        spec = ExecutionSpec(
+            topology=line(n), algorithm=AoptAlgorithm(PARAMS), drift=drift,
+            delay=delay, horizon=600.0, params=PARAMS,
+        )
+        trace, _ = spec.run()
+        tracemalloc.start()
+        try:
+            summarize_trace(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_CEILING_BYTES, (
+            f"summarize_trace peaked at {peak / 2**20:.1f} MiB allocated "
+            f"(ceiling {self.PEAK_CEILING_BYTES / 2**20:.0f} MiB)"
+        )
 
 
 @pytest.mark.slow
