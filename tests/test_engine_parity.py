@@ -6,13 +6,15 @@ same skew extrema, the same counters — not approximately, but to the
 last float bit.  These tests pin that contract three ways:
 
 * **pinned fingerprints** — ``fixtures/parity/fingerprints.json`` holds,
-  for each of 17 cases, the canonical summary JSON (spec digest
+  for each of 24 cases, the canonical summary JSON (spec digest
   stripped), the sha256 of the structured event log
   (:func:`repro.obs.export.event_log_digest`) and the number of log
-  records.  The pins were captured at commit 5f702da from the
+  records.  17 pins were captured at commit 5f702da from the
   event-at-a-time reference engine that the fast engine replaced, which
   the fast engine then matched on every case; that engine has since
-  been deleted.  The fast trace path and the streaming path must each
+  been deleted.  The 7 ``rate-rule-*`` pins were captured at commit
+  748f587, before the variants' copies of Algorithm 3 became hooks of
+  the one rule.  The fast trace path and the streaming path must each
   reproduce every pin.
 * **trace vs streaming** — ``record_trace=False`` folds skew extrema
   incrementally instead of materializing a trace; both modes meet the
@@ -150,6 +152,72 @@ def _grid_spec() -> ExecutionSpec:
     )
 
 
+#: Algorithms that change what feeds Algorithm 3 (κ, the L^max headroom,
+#: the boost, the rest branch), plus oblivious-gradient, which replaces
+#: the rule, and the planted aopt-broken-rate, which never boosts.
+RATE_RULE_VARIANTS = (
+    "aopt-jump",
+    "aopt-no-max-cap",
+    "aopt-adaptive-delay",
+    "aopt-hw-envelope",
+    "aopt-external",
+    "oblivious-gradient",
+    "aopt-broken-rate",
+)
+
+
+def _rate_rule_spec(name: str) -> ExecutionSpec:
+    """``name`` on line(6): a two-group drift, random delays, and the
+    middle edge down from t=10 to t=90, so the groups drift about
+    ``0.1·80 > κ`` apart before they merge.
+
+    Sized so each variant's own branch runs: jumps are taken, the uncapped
+    boost overshoots L^max, the adaptive κ (not ``PARAMS.kappa``) sets the
+    increase after the merge, and the damped L^max of hw-envelope and
+    external makes the catch-up time, not the budget, end some boosts.
+    """
+    from repro.baselines.oblivious_gradient import (
+        ObliviousGradientAlgorithm,
+        blocking_threshold,
+    )
+    from repro.cert.planted import BrokenRateRuleAoptAlgorithm
+    from repro.sim.drift import PerNodeDrift
+    from repro.topology.dynamic import TopologySchedule
+    from repro.variants import (
+        AdaptiveDelayAoptAlgorithm,
+        ExternalAoptAlgorithm,
+        HardwareEnvelopeAoptAlgorithm,
+        JumpAoptAlgorithm,
+    )
+    from repro.variants.ablations import NoMaxCapAopt
+
+    builders = {
+        "aopt-jump": lambda: JumpAoptAlgorithm(PARAMS),
+        "aopt-no-max-cap": lambda: NoMaxCapAopt(PARAMS),
+        "aopt-adaptive-delay": lambda: AdaptiveDelayAoptAlgorithm(
+            PARAMS, initial_estimate=0.01
+        ),
+        "aopt-hw-envelope": lambda: HardwareEnvelopeAoptAlgorithm(PARAMS),
+        "aopt-external": lambda: ExternalAoptAlgorithm(PARAMS, source=0),
+        "oblivious-gradient": lambda: ObliviousGradientAlgorithm(
+            PARAMS, blocking_threshold(PARAMS, 5)
+        ),
+        "aopt-broken-rate": lambda: BrokenRateRuleAoptAlgorithm(PARAMS),
+    }
+    return ExecutionSpec(
+        line(6),
+        builders[name](),
+        # Node 0 runs at real time, as aopt-external's source must (§8.5).
+        PerNodeDrift(0.05, {0: 1.0, 1: 1.05, 2: 1.0}, default=0.95),
+        UniformDelay(0.0, 1.0, seed=7),
+        140.0,
+        topology_schedule=TopologySchedule().edge_disappears(
+            2, 3, at=10.0, until=90.0
+        ),
+        label=f"line/{name}",
+    )
+
+
 def pinned_cases() -> Dict[str, ExecutionSpec]:
     """Every pinned case by fixture key, as a trace-mode spec."""
     from tests.test_dynamic_topology import _merge_spec, _partition_spec
@@ -165,6 +233,9 @@ def pinned_cases() -> Dict[str, ExecutionSpec]:
         "line-events": _event_log_spec(),
         "grid-tuple-ids": _grid_spec(),
     })
+    cases.update(
+        (f"rate-rule-{name}", _rate_rule_spec(name)) for name in RATE_RULE_VARIANTS
+    )
     return cases
 
 
@@ -294,6 +365,20 @@ class TestEventLogParity:
         _, event_log = assert_pinned("line-events", spec)
         assert_pinned("line-events", spec.with_record_trace(False))
         assert event_log, "event log unexpectedly empty"
+
+
+class TestRateRuleVariantParity:
+    """Each variant's inputs to Algorithm 3 (κ, headroom, boost, rest)
+    reproduce its pin in both modes."""
+
+    @pytest.mark.parametrize("name", RATE_RULE_VARIANTS)
+    def test_trace_matches_pin(self, name):
+        assert_pinned(f"rate-rule-{name}", _rate_rule_spec(name))
+
+    @pytest.mark.parametrize("name", RATE_RULE_VARIANTS)
+    def test_streaming_matches_pin(self, name):
+        spec = _rate_rule_spec(name).with_record_trace(False)
+        assert_pinned(f"rate-rule-{name}", spec)
 
 
 class TestByzantineChurnParity:
