@@ -26,14 +26,12 @@ import math
 from typing import Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import RATE_RESET_ALARM, AoptNode
+from repro.core.node import _INCREASE_EPS, RATE_RESET_ALARM, AoptNode
 from repro.core.params import SyncParams
 
 __all__ = ["ObliviousGradientAlgorithm", "blocking_threshold"]
 
 NodeId = Hashable
-
-_INCREASE_EPS = 1e-12
 
 
 def blocking_threshold(params: SyncParams, diameter: int) -> float:

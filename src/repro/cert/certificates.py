@@ -38,7 +38,10 @@ per campaign rather than fuzzed):
 =======================  ========================================================
 
 Applicability: a certificate *governs* the A^opt family algorithms whose
-guarantees it states (baselines make no such claims), and the skew bounds
+guarantees it states (baselines make no such claims).  By default these
+are the ``certifiable`` entries of :mod:`repro.algorithms`, the planted
+controls included: a plant claims the guarantees it is built to break,
+so the certifier holds it to the same bounds.  The skew bounds
 additionally assume the faultless model of Section 3 — under a fault
 schedule only the envelope/rate/monotonicity conditions remain claims
 (crashed nodes free-run at multiplier 1, which stays inside both).  The
@@ -65,6 +68,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import algorithms
 from repro.core.bounds import global_skew_bound, local_skew_bound
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
@@ -86,26 +90,6 @@ __all__ = [
     "construction_certificates",
     "resolve_certificates",
 ]
-
-#: Algorithms whose guarantees the A^opt theorems state.  The planted
-#: broken variants claim the same guarantees (that is the point of the
-#: plants), so the certifier checks them against the same bounds.
-_AOPT_FAMILY = (
-    "aopt",
-    "aopt-jump",
-    "aopt-ft",
-    "aopt-broken-rate",
-    "kllo-dynamic",
-    "kllo-frozen",
-    "ftgcs",
-    "ftgcs-trusting",
-    "gcs-pcls",
-)
-
-#: The algorithms the Byzantine skew certificate holds to its claim:
-#: ``ftgcs`` is built to satisfy it, ``ftgcs-trusting`` is planted to
-#: fail it, and the unfiltered baselines demonstrate the attack.
-_BYZANTINE_FAMILY = ("aopt", "aopt-ft", "ftgcs", "ftgcs-trusting")
 
 _VIOLATION_TIME = re.compile(r"/t=([0-9eE+.-]+):")
 
@@ -153,7 +137,7 @@ class Certificate:
         name: str,
         theorem: str,
         claim: str,
-        governs: Tuple[str, ...] = _AOPT_FAMILY,
+        governs: Tuple[str, ...] = algorithms.names("certifiable"),
         fault_compatible: bool = False,
         dynamic_compatible: bool = False,
         requires_dynamic: bool = False,
@@ -219,7 +203,7 @@ class SkewCertificate(Certificate):
         theorem,
         claim,
         metric: str,
-        governs: Tuple[str, ...] = _AOPT_FAMILY,
+        governs: Tuple[str, ...] = algorithms.names("certifiable"),
         byzantine_compatible: bool = False,
         requires_byzantine: bool = False,
     ):
@@ -296,7 +280,9 @@ class ByzantineSkewCertificate(SkewCertificate):
             theorem,
             claim,
             metric="global",
-            governs=_BYZANTINE_FAMILY,
+            # ftgcs is built to satisfy it, ftgcs-trusting is planted to
+            # fail it, and the unfiltered aopt/aopt-ft demonstrate the attack.
+            governs=algorithms.names("byzantine"),
             byzantine_compatible=True,
             requires_byzantine=True,
         )
@@ -330,7 +316,7 @@ class MonitorCertificate(Certificate):
         claim,
         monitor: str,
         trace_excess,
-        governs: Tuple[str, ...] = _AOPT_FAMILY,
+        governs: Tuple[str, ...] = algorithms.names("certifiable"),
         fault_compatible: bool = True,
         dynamic_compatible: bool = False,
         requires_dynamic: bool = False,

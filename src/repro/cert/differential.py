@@ -32,23 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import algorithms
 from repro.cert.certificates import execution_certificates
 from repro.cert.fuzzer import generate_scenarios
 from repro.exec.pool import SweepExecutor
 
-__all__ = [
-    "DifferentialReport",
-    "differential_certify",
-    "BYZANTINE_VARIANTS",
-    "DEFAULT_VARIANTS",
-]
-
-#: The variants whose guarantees overlap on faultless executions.
-DEFAULT_VARIANTS = ("aopt", "aopt-jump", "aopt-ft")
-
-#: The variants compared under Byzantine corruption: the filtered
-#: algorithm against the unfiltered baselines it is supposed to beat.
-BYZANTINE_VARIANTS = ("aopt", "aopt-ft", "ftgcs")
+__all__ = ["DifferentialReport", "differential_certify"]
 
 
 @dataclass(frozen=True)
@@ -153,16 +142,21 @@ def differential_certify(
     certificate is evaluated per variant; only satisfaction booleans are
     compared.
 
-    With ``byzantine=True`` the stream switches to Byzantine corruption
-    scenarios and the default comparison set to
-    :data:`BYZANTINE_VARIANTS`; ``requires_byzantine`` certificates are
-    scored into the survival matrix instead of the agreement check (see
-    module docstring).
+    Without ``variants``, the registry's ``differential`` entries are
+    compared.  With ``byzantine=True`` the stream switches to Byzantine
+    corruption scenarios, and the default comparison set to the
+    ``byzantine`` entries that are not planted: the filtered algorithm
+    against the unfiltered baselines it is supposed to beat.
+    ``requires_byzantine`` certificates are scored into the survival
+    matrix instead of the agreement check (see module docstring).
     """
     if executor is None:
         executor = SweepExecutor()
     if variants is None:
-        variants = BYZANTINE_VARIANTS if byzantine else DEFAULT_VARIANTS
+        if byzantine:
+            variants = algorithms.names("byzantine", exclude="planted")
+        else:
+            variants = algorithms.names("differential")
     variants = tuple(variants)
     base = list(
         generate_scenarios(

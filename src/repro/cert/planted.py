@@ -6,12 +6,13 @@ algorithms that *look* like A^opt (same messages, same estimates, same
 name-shaped interface) but carry one plausible bug each, visible only to
 the certificate whose discrimination is under test.
 
-:class:`BrokenRateRuleNode` overrides ``_set_clock_rate`` (Algorithm 3)
-to never engage the fast multiplier.  Every clock then free-runs at its
-hardware rate, so under a two-group drift adversary the global skew grows
-like ``2εt`` without bound — past ``G`` once the horizon exceeds roughly
-``G / (2ε)`` — while each clock individually stays inside the
-``[(1−ε)t, (1+ε)t]`` envelope and the ``[α, β]`` rate band.  The planted
+:class:`BrokenRateRuleNode` overrides the ``_boost`` hook of Algorithm 3
+to rest instead, so it never engages the fast multiplier.  Every clock
+then free-runs at its hardware rate, so under a two-group drift
+adversary the global skew grows like ``2εt`` without bound — past ``G``
+once the horizon exceeds roughly ``G / (2ε)`` — while each clock
+individually stays inside the ``[(1−ε)t, (1+ε)t]`` envelope and the
+``[α, β]`` rate band.  The planted
 bug is thus visible *only* to the Theorem 5.5/5.10 skew certificates,
 which is exactly the discrimination the shrinker tests need.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Hashable, Optional, Sequence
 
 from repro.core.interfaces import NodeContext
-from repro.core.node import AoptAlgorithm, AoptNode, RATE_RESET_ALARM
+from repro.core.node import AoptAlgorithm, AoptNode
 from repro.core.params import SyncParams
 from repro.variants.fault_tolerant import _FaultTolerantNode
 from repro.variants.ftgcs import FtgcsAlgorithm, FtgcsNode
@@ -60,11 +61,10 @@ REJECTION_SLACK_HOPS = 2
 class BrokenRateRuleNode(AoptNode):
     """A^opt node whose *setClockRate* never boosts (planted bug)."""
 
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
+    def _boost(self, ctx, hardware_now, increase, headroom) -> None:
         # The bug: ignore the admissible increase entirely and stay at the
         # base multiplier, as if Algorithm 3 always computed R_v = 0.
-        ctx.set_rate_multiplier(1.0)
-        ctx.cancel_alarm(RATE_RESET_ALARM)
+        self._rest(ctx)
 
 
 class BrokenRateRuleAoptAlgorithm(AoptAlgorithm):

@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from repro import algorithms
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
 from repro.exec.spec import ExecutionSpec
@@ -92,11 +93,9 @@ DRIFT_KINDS = (
 )
 #: Delay kinds in decreasing complexity (shrink order).
 DELAY_KINDS = ("uniform", "constant", "zero")
-#: Certifiable algorithms; the last three are the planted-violation controls.
-ALGORITHM_KINDS = (
-    "aopt", "aopt-jump", "aopt-ft", "ftgcs", "gcs-pcls",
-    "kllo-dynamic", "aopt-broken-rate", "kllo-frozen", "ftgcs-trusting",
-)
+#: Certifiable algorithms (the registry's ``certifiable`` trait); the last
+#: three are the planted-violation controls.
+ALGORITHM_KINDS = algorithms.names("certifiable")
 
 
 def min_nodes(topology_kind: str) -> int:
@@ -209,58 +208,6 @@ class CertScenario:
             f"unknown delay kind {self.delay_kind!r}; known: {', '.join(DELAY_KINDS)}"
         )
 
-    def _build_algorithm(self, params: SyncParams, topology: Topology):
-        if self.algorithm == "aopt":
-            from repro.core.node import AoptAlgorithm
-
-            return AoptAlgorithm(params)
-        if self.algorithm == "aopt-jump":
-            from repro.variants.jump_aopt import JumpAoptAlgorithm
-
-            return JumpAoptAlgorithm(params)
-        if self.algorithm == "aopt-ft":
-            from repro.variants.fault_tolerant import FaultTolerantAoptAlgorithm
-
-            return FaultTolerantAoptAlgorithm(params)
-        if self.algorithm == "aopt-broken-rate":
-            from repro.cert.planted import BrokenRateRuleAoptAlgorithm
-
-            return BrokenRateRuleAoptAlgorithm(params)
-        if self.algorithm == "kllo-dynamic":
-            from repro.variants.kllo_dynamic import KlloDynamicAlgorithm
-
-            return KlloDynamicAlgorithm(params)
-        if self.algorithm == "kllo-frozen":
-            from repro.cert.planted import FrozenIntegrationAlgorithm
-            from repro.topology.properties import diameter
-
-            # The planted filter window is diameter-calibrated; compute it
-            # from the *built* topology so shrinking the node count also
-            # shrinks the window consistently.
-            return FrozenIntegrationAlgorithm(params, diameter(topology))
-        if self.algorithm in ("ftgcs", "ftgcs-trusting"):
-            from repro.topology.properties import diameter
-            from repro.variants.ftgcs import ftgcs_rejection_window
-
-            # Like kllo-frozen, the rejection window is calibrated from
-            # the *built* topology so shrinking stays consistent.
-            window = ftgcs_rejection_window(params, diameter(topology))
-            if self.algorithm == "ftgcs":
-                from repro.variants.ftgcs import FtgcsAlgorithm
-
-                return FtgcsAlgorithm(params, window)
-            from repro.cert.planted import TrustingFtgcsAlgorithm
-
-            return TrustingFtgcsAlgorithm(params, window)
-        if self.algorithm == "gcs-pcls":
-            from repro.variants.pcls import PclsAlgorithm
-
-            return PclsAlgorithm(params)
-        raise ConfigurationError(
-            f"unknown certifiable algorithm {self.algorithm!r}; "
-            f"known: {', '.join(ALGORITHM_KINDS)}"
-        )
-
     def build_faults(self, topology: Topology) -> Optional[FaultSchedule]:
         """Compile fault events, dropping those that reference absent nodes.
 
@@ -349,11 +296,16 @@ class CertScenario:
 
     def build_spec(self) -> ExecutionSpec:
         """Compile to a concrete, digestable, monitor-carrying spec."""
+        if self.algorithm not in ALGORITHM_KINDS:
+            raise ConfigurationError(
+                f"unknown certifiable algorithm {self.algorithm!r}; "
+                f"known: {', '.join(ALGORITHM_KINDS)}"
+            )
         topology = self.build_topology()
         params = self.build_params()
         return ExecutionSpec(
             topology=topology,
-            algorithm=self._build_algorithm(params, topology),
+            algorithm=algorithms.build(self.algorithm, params, topology),
             drift=self._build_drift(topology),
             delay=self._build_delay(),
             horizon=self.horizon,

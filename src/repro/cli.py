@@ -69,19 +69,13 @@ from typing import List, Optional
 
 from repro.adversary.global_bound import run_global_lower_bound
 from repro.adversary.local_bound import run_skew_amplification
+from repro import algorithms
 from repro.analysis.experiments import (
     run_adversary_suite,
     standard_adversaries,
     suite_specs,
 )
 from repro.analysis.tables import format_table
-from repro.baselines import (
-    FreeRunningAlgorithm,
-    MaxForwardAlgorithm,
-    MidpointAlgorithm,
-    ObliviousGradientAlgorithm,
-)
-from repro.baselines.oblivious_gradient import blocking_threshold
 from repro.core.bounds import (
     global_skew_bound,
     global_skew_lower_bound,
@@ -93,14 +87,6 @@ from repro.core.params import SyncParams
 from repro.sim.monitors import TOLERANCE
 from repro.topology import generators
 from repro.topology.properties import diameter as graph_diameter
-from repro.variants import (
-    AdaptiveDelayAoptAlgorithm,
-    BitBudgetAoptAlgorithm,
-    FaultTolerantAoptAlgorithm,
-    JumpAoptAlgorithm,
-    MinGapAoptAlgorithm,
-    bit_budget_params,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -144,64 +130,6 @@ def _build_params(args) -> SyncParams:
     )
 
 
-ALGORITHM_CHOICES = [
-    "aopt",
-    "aopt-ft",
-    "ftgcs",
-    "gcs-pcls",
-    "aopt-jump",
-    "aopt-min-gap",
-    "aopt-bit-budget",
-    "aopt-adaptive",
-    "kllo-dynamic",
-    "max-forward",
-    "midpoint",
-    "oblivious-gradient",
-    "free-running",
-]
-
-
-def _build_algorithm(name: str, params: SyncParams, diameter: int):
-    if name == "aopt":
-        return AoptAlgorithm(params)
-    if name == "aopt-ft":
-        return FaultTolerantAoptAlgorithm(params)
-    if name == "ftgcs":
-        from repro.variants.ftgcs import FtgcsAlgorithm, ftgcs_rejection_window
-
-        return FtgcsAlgorithm(params, ftgcs_rejection_window(params, diameter))
-    if name == "gcs-pcls":
-        from repro.variants.pcls import PclsAlgorithm
-
-        return PclsAlgorithm(params)
-    if name == "kllo-dynamic":
-        from repro.variants.kllo_dynamic import KlloDynamicAlgorithm
-
-        return KlloDynamicAlgorithm(params)
-    if name == "aopt-jump":
-        return JumpAoptAlgorithm(params)
-    if name == "aopt-min-gap":
-        return MinGapAoptAlgorithm(params)
-    if name == "aopt-bit-budget":
-        budget = bit_budget_params(params.epsilon, params.delay_bound)
-        return BitBudgetAoptAlgorithm(budget)
-    if name == "aopt-adaptive":
-        return AdaptiveDelayAoptAlgorithm(
-            params, initial_estimate=params.delay_bound / 100
-        )
-    if name == "max-forward":
-        return MaxForwardAlgorithm(send_period=params.h0)
-    if name == "midpoint":
-        return MidpointAlgorithm(send_period=params.h0, mu=params.mu)
-    if name == "oblivious-gradient":
-        return ObliviousGradientAlgorithm(
-            params, blocking_threshold(params, diameter)
-        )
-    if name == "free-running":
-        return FreeRunningAlgorithm()
-    raise SystemExit(f"unknown algorithm {name!r}")
-
-
 def _cmd_bounds(args) -> int:
     params = _build_params(args)
     rows = []
@@ -234,7 +162,7 @@ def _cmd_simulate(args) -> int:
     params = _build_params(args)
     topology = _build_topology(args)
     d = graph_diameter(topology)
-    algorithm = _build_algorithm(args.algorithm, params, d)
+    algorithm = algorithms.build(args.algorithm, params, topology)
     cases = {
         case.name: case for case in standard_adversaries(topology, params, args.seed)
     }
@@ -275,9 +203,9 @@ def _within_aopt_bounds(algorithm_name, params, d, worst_global, worst_local) ->
 
     Variants with modified kappa (bit-budget) or adaptive kappa have
     their own bounds; the gate applies the plain Theorem 5.5/5.10 bounds
-    only to the algorithms they govern directly.
+    only to the algorithms they govern directly (the ``bounded`` trait).
     """
-    if algorithm_name not in ("aopt", "aopt-jump"):
+    if algorithm_name not in algorithms.names("bounded"):
         return True
     return (
         worst_global <= global_skew_bound(params, d) + TOLERANCE
@@ -393,7 +321,7 @@ def _cmd_suite(args) -> int:
     workers, cache = _executor_options(args)
     result = run_adversary_suite(
         topology,
-        lambda: _build_algorithm(algorithm_name, params, d),
+        lambda: algorithms.build(algorithm_name, params, topology),
         params,
         horizon=args.horizon,
         workers=workers,
@@ -513,7 +441,7 @@ def _cmd_sweep(args) -> int:
         actual_d = graph_diameter(topology)
         specs = suite_specs(
             topology,
-            lambda: _build_algorithm(algorithm_name, params, actual_d),
+            lambda: algorithms.build(algorithm_name, params, topology),
             params,
             horizon=args.horizon,
         )
@@ -809,7 +737,7 @@ def _cmd_faults(args) -> int:
     except ReproError as exc:
         print(f"repro faults: {exc}", file=sys.stderr)
         return 2
-    algorithm = _build_algorithm(args.algorithm, params, d)
+    algorithm = algorithms.build(args.algorithm, params, topology)
 
     spec = ExecutionSpec(
         topology=topology,
@@ -919,7 +847,7 @@ def _cmd_profile(args) -> int:
     algorithm_name = args.algorithm
     specs = suite_specs(
         topology,
-        lambda: _build_algorithm(algorithm_name, params, d),
+        lambda: algorithms.build(algorithm_name, params, topology),
         params,
         horizon=args.horizon,
     )
@@ -1183,8 +1111,7 @@ def _cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
-    from repro.cert.scenario import ALGORITHM_KINDS
-
+    algorithm_choices = algorithms.names("cli")
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Tight Bounds for Clock Synchronization' "
@@ -1305,7 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_arguments(simulate_parser, include_knowledge=True)
     add_topology_arguments(simulate_parser)
     simulate_parser.add_argument(
-        "--algorithm", default="aopt", choices=ALGORITHM_CHOICES
+        "--algorithm", default="aopt", choices=algorithm_choices
     )
     simulate_parser.add_argument("--adversary", default="two-group-drift")
     simulate_parser.add_argument("--horizon", type=float, default=300.0)
@@ -1317,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_arguments(suite_parser, include_knowledge=True)
     add_topology_arguments(suite_parser)
     suite_parser.add_argument(
-        "--algorithm", default="aopt", choices=ALGORITHM_CHOICES
+        "--algorithm", default="aopt", choices=algorithm_choices
     )
     suite_parser.add_argument("--horizon", type=float, default=None)
     add_executor_arguments(suite_parser)
@@ -1337,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target diameters to sweep (default: 4 8 16 32)"
     )
     sweep_parser.add_argument(
-        "--algorithm", default="aopt", choices=ALGORITHM_CHOICES
+        "--algorithm", default="aopt", choices=algorithm_choices
     )
     sweep_parser.add_argument("--horizon", type=float, default=None)
     add_executor_arguments(sweep_parser)
@@ -1375,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_arguments(faults_parser, include_knowledge=True)
     add_topology_arguments(faults_parser)
     faults_parser.add_argument(
-        "--algorithm", default="aopt-ft", choices=ALGORITHM_CHOICES,
+        "--algorithm", default="aopt-ft", choices=algorithm_choices,
         help="algorithm under test (default: the recovery-aware aopt-ft)"
     )
     faults_parser.add_argument(
@@ -1427,7 +1354,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_arguments(profile_parser, include_knowledge=True)
     add_topology_arguments(profile_parser)
     profile_parser.add_argument(
-        "--algorithm", default="aopt", choices=ALGORITHM_CHOICES
+        "--algorithm", default="aopt", choices=algorithm_choices
     )
     profile_parser.add_argument("--horizon", type=float, default=None)
     profile_parser.add_argument(
@@ -1546,9 +1473,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.add_argument(
         "--algorithm", default="aopt",
-        choices=ALGORITHM_KINDS,
-        help="variant to certify (aopt-broken-rate, kllo-frozen, and "
-             "ftgcs-trusting are the planted-violation controls)"
+        choices=algorithms.names("certifiable"),
+        help="variant to certify (%s are the planted-violation controls)"
+             % ", ".join(algorithms.names("planted"))
     )
     certify_parser.add_argument(
         "--no-faults", dest="no_faults", action="store_true",

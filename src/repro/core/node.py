@@ -47,7 +47,8 @@ __all__ = ["AoptAlgorithm", "AoptNode"]
 
 NodeId = Hashable
 
-#: Positive-increase threshold guarding against float-noise rate flapping.
+#: Positive-increase threshold guarding against float-noise rate flapping;
+#: the one copy, shared by every rate rule in the tree.
 _INCREASE_EPS = 1e-12
 
 SEND_ALARM = "send"
@@ -182,23 +183,46 @@ class AoptNode(AlgorithmNode):
         ctx.set_alarm(SEND_ALARM, hardware_now + gap)
 
     def _set_clock_rate(self, ctx: NodeContext) -> None:
-        """Algorithm 3 (*setClockRate*)."""
+        """Algorithm 3 (*setClockRate*), the one copy of the rule.
+
+        Variants change what feeds it through four hooks and leave the
+        rule alone: :meth:`_kappa` and :meth:`_headroom` (the ``κ`` and
+        the ``L^max − L`` cap of lines 1–2), :meth:`_boost` (the
+        ``R_v > 0`` branch) and :meth:`_rest` (the other branch).
+        """
         skews = self.skew_estimates(ctx)
         if skews is None:
             return
         lambda_up, lambda_down = skews
-        headroom = self.l_max(ctx.hardware()) - ctx.logical()
+        hardware_now = ctx.hardware()
+        headroom = self._headroom(ctx, hardware_now)
         increase = clamped_rate_increase(
-            lambda_up, lambda_down, self.params.kappa, headroom
+            lambda_up, lambda_down, self._kappa(), headroom
         )
         if increase > _INCREASE_EPS:
-            ctx.set_rate_multiplier(1 + self.params.mu)
-            ctx.set_alarm(
-                RATE_RESET_ALARM, ctx.hardware() + increase / self.params.mu
-            )
+            self._boost(ctx, hardware_now, increase, headroom)
         else:
-            ctx.set_rate_multiplier(1.0)
-            ctx.cancel_alarm(RATE_RESET_ALARM)
+            self._rest(ctx)
+
+    def _kappa(self) -> float:
+        """The skew quantum ``κ`` of Algorithm 3."""
+        return self.params.kappa
+
+    def _headroom(self, ctx: NodeContext, hardware_now: float) -> float:
+        """The cap ``L^max_v − L_v`` on the increase (Algorithm 3 line 2)."""
+        return self.l_max(hardware_now) - ctx.logical()
+
+    def _boost(
+        self, ctx: NodeContext, hardware_now: float, increase: float, headroom: float
+    ) -> None:
+        """Run at ``ρ = 1 + μ`` until ``H_v^R = H_v + R_v/μ``."""
+        ctx.set_rate_multiplier(1 + self.params.mu)
+        ctx.set_alarm(RATE_RESET_ALARM, hardware_now + increase / self.params.mu)
+
+    def _rest(self, ctx: NodeContext) -> None:
+        """No admissible increase: run at ``ρ = 1``."""
+        ctx.set_rate_multiplier(1.0)
+        ctx.cancel_alarm(RATE_RESET_ALARM)
 
 
 class AoptAlgorithm(Algorithm):

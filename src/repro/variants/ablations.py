@@ -4,11 +4,13 @@ The paper motivates each ingredient of the algorithm; these ablations
 make the motivations measurable:
 
 * :class:`NoMaxCapAopt` — drops the ``L^max`` cap in Algorithm 3 line 2
-  (``R := min(..., L^max − L)``).  Without the cap, the "a skew of κ is
-  always tolerated" rule lets neighbors bootstrap each other: both stay
-  within κ of (over-extrapolated) estimates while their absolute values
-  run away at rate ``(1+ε)(1+μ)``, violating the real-time envelope
-  Condition (1).  This is why Corollary 5.2 needs ``L_v ≤ L^max_v``.
+  (``R := min(..., L^max − L)``): its ``_headroom`` hook returns ``∞``
+  and A^opt's one *setClockRate* does the rest.  Without the cap, the
+  "a skew of κ is always tolerated" rule lets neighbors bootstrap each
+  other: both stay within κ of (over-extrapolated) estimates while their
+  absolute values run away at rate ``(1+ε)(1+μ)``, violating the
+  real-time envelope Condition (1).  This is why Corollary 5.2 needs
+  ``L_v ≤ L^max_v``.
 
 * :class:`LazyForwardAopt` — drops the immediate forwarding of larger
   ``L^max`` estimates (Algorithm 2 line 3); estimates only propagate with
@@ -29,34 +31,16 @@ from typing import Any, Hashable, Sequence
 from repro.core.interfaces import Algorithm, NodeContext
 from repro.core.node import AoptNode
 from repro.core.params import SyncParams
-from repro.core.rate_rule import clamped_rate_increase
 
 __all__ = ["NoMaxCapAopt", "LazyForwardAopt"]
 
 NodeId = Hashable
 
-_INCREASE_EPS = 1e-12
-
 
 class _NoMaxCapNode(AoptNode):
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
-        skews = self.skew_estimates(ctx)
-        if skews is None:
-            return
-        lambda_up, lambda_down = skews
-        # Ablated: headroom = infinity (no L^max cap on the increase).
-        increase = clamped_rate_increase(
-            lambda_up, lambda_down, self.params.kappa, math.inf
-        )
-        if increase > _INCREASE_EPS:
-            ctx.set_rate_multiplier(1 + self.params.mu)
-            if math.isfinite(increase):
-                ctx.set_alarm(
-                    "rate-reset", ctx.hardware() + increase / self.params.mu
-                )
-        else:
-            ctx.set_rate_multiplier(1.0)
-            ctx.cancel_alarm("rate-reset")
+    def _headroom(self, ctx: NodeContext, hardware_now: float) -> float:
+        # Ablated: no L^max cap on the increase.
+        return math.inf
 
 
 class NoMaxCapAopt(Algorithm):

@@ -30,20 +30,16 @@ Implementation:
 
 from __future__ import annotations
 
-import math
 from typing import Any, Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
 from repro.core.node import AoptNode
 from repro.core.params import SyncParams
-from repro.core.rate_rule import clamped_rate_increase
 from repro.errors import ConfigurationError
 
 __all__ = ["AdaptiveDelayAoptAlgorithm"]
 
 NodeId = Hashable
-
-_INCREASE_EPS = 1e-12
 
 
 class _AdaptiveDelayNode(AoptNode):
@@ -64,23 +60,8 @@ class _AdaptiveDelayNode(AoptNode):
             + params.h_bar_0
         )
 
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
-        skews = self.skew_estimates(ctx)
-        if skews is None:
-            return
-        lambda_up, lambda_down = skews
-        headroom = self.l_max(ctx.hardware()) - ctx.logical()
-        increase = clamped_rate_increase(
-            lambda_up, lambda_down, self.current_kappa(), headroom
-        )
-        if increase > _INCREASE_EPS:
-            ctx.set_rate_multiplier(1 + self.params.mu)
-            ctx.set_alarm(
-                "rate-reset", ctx.hardware() + increase / self.params.mu
-            )
-        else:
-            ctx.set_rate_multiplier(1.0)
-            ctx.cancel_alarm("rate-reset")
+    # Algorithm 3 runs with the measured κ, not params.kappa.
+    _kappa = current_kappa
 
     # -- messaging with acks and estimate floods ------------------------------
 

@@ -26,18 +26,15 @@ verify both the *skew* claim (bounds preserved) and the *bit* claim
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, Sequence, Tuple
+from typing import Any, Dict, Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
 from repro.core.node import INIT_ALARM, RATE_RESET_ALARM, SEND_ALARM, AoptNode
 from repro.core.params import SyncParams
-from repro.core.rate_rule import clamped_rate_increase
 
 __all__ = ["BitBudgetAoptAlgorithm", "bit_budget_params"]
 
 NodeId = Hashable
-
-_INCREASE_EPS = 1e-12
 
 #: Bits for the full-value initialization message (two 64-bit floats).
 _INIT_MESSAGE_BITS = 128

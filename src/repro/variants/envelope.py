@@ -26,7 +26,6 @@ from typing import Hashable, Sequence
 from repro.core.interfaces import Algorithm, NodeContext
 from repro.core.node import RATE_RESET_ALARM, SEND_ALARM, AoptNode
 from repro.core.params import SyncParams
-from repro.core.rate_rule import clamped_rate_increase
 
 __all__ = ["HardwareEnvelopeAoptAlgorithm"]
 
@@ -34,8 +33,6 @@ NodeId = Hashable
 
 LMAX_CROSS_ALARM = "lmax-cross"
 CATCH_LMAX_ALARM = "catch-lmax"
-
-_INCREASE_EPS = 1e-12
 
 
 class _HardwareEnvelopeNode(AoptNode):
@@ -79,31 +76,24 @@ class _HardwareEnvelopeNode(AoptNode):
             self._arm_send_alarm(ctx, ctx.hardware())
             self._set_clock_rate(ctx)
 
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
-        skews = self.skew_estimates(ctx)
-        if skews is None:
-            return
-        lambda_up, lambda_down = skews
-        hardware_now = ctx.hardware()
-        headroom = self.l_max(hardware_now) - ctx.logical()
-        increase = clamped_rate_increase(
-            lambda_up, lambda_down, self.params.kappa, headroom
-        )
-        if increase > _INCREASE_EPS:
-            ctx.set_rate_multiplier(1 + self.params.mu)
-            budget_hw = increase / self.params.mu
-            catch_hw = headroom / (1 + self.params.mu - self._lmax_factor)
-            ctx.set_alarm(RATE_RESET_ALARM, hardware_now + min(budget_hw, catch_hw))
-        else:
-            ctx.set_rate_multiplier(1.0)
-            ctx.cancel_alarm(RATE_RESET_ALARM)
-            self._track_lmax_if_caught(ctx)
+    def _boost(self, ctx, hardware_now, increase, headroom) -> None:
+        # L^max grows at _lmax_factor, so the boost closes the headroom at
+        # 1 + μ − _lmax_factor; end it at the budget or at L^max, whichever
+        # comes first.
+        ctx.set_rate_multiplier(1 + self.params.mu)
+        budget_hw = increase / self.params.mu
+        catch_hw = headroom / (1 + self.params.mu - self._lmax_factor)
+        ctx.set_alarm(RATE_RESET_ALARM, hardware_now + min(budget_hw, catch_hw))
+
+    def _rest(self, ctx: NodeContext) -> None:
+        super()._rest(ctx)
+        self._track_lmax_if_caught(ctx)
 
     def _track_lmax_if_caught(self, ctx: NodeContext) -> None:
         hardware_now = ctx.hardware()
         gap = self.l_max(hardware_now) - ctx.logical()
         if gap <= 1e-9:
-            ctx.set_rate_multiplier(max(self._lmax_factor, _minimum_rho(self)))
+            ctx.set_rate_multiplier(self._lmax_factor)
             ctx.cancel_alarm(CATCH_LMAX_ALARM)
         elif self._lmax_factor < 1.0:
             ctx.set_alarm(
@@ -128,11 +118,6 @@ class _HardwareEnvelopeNode(AoptNode):
             self._track_lmax_if_caught(ctx)
         else:
             super().on_alarm(ctx, name)
-
-
-def _minimum_rho(node: "_HardwareEnvelopeNode") -> float:
-    """L^max never grows slower than the damped factor."""
-    return node._damped
 
 
 class HardwareEnvelopeAoptAlgorithm(Algorithm):

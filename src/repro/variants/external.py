@@ -21,13 +21,11 @@ damped rate ``1/(1 + ε̂)`` — handled by a ``catch-lmax`` alarm.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, AlgorithmNode, NodeContext
-from repro.core.node import INIT_ALARM, RATE_RESET_ALARM, SEND_ALARM, AoptNode
+from repro.core.node import RATE_RESET_ALARM, SEND_ALARM, AoptNode
 from repro.core.params import SyncParams
-from repro.core.rate_rule import clamped_rate_increase
 from repro.errors import ConfigurationError
 
 __all__ = ["ExternalAoptAlgorithm"]
@@ -36,8 +34,6 @@ NodeId = Hashable
 
 CATCH_LMAX_ALARM = "catch-lmax"
 SOURCE_SEND_ALARM = "source-send"
-
-_INCREASE_EPS = 1e-12
 
 
 class _SourceNode(AlgorithmNode):
@@ -78,30 +74,27 @@ class _ExternalNode(AoptNode):
         gap = (self._next_mark - self.l_max(hardware_now)) / self._damping
         ctx.set_alarm(SEND_ALARM, hardware_now + gap)
 
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
-        skews = self.skew_estimates(ctx)
+    def skew_estimates(self, ctx: NodeContext):
+        skews = super().skew_estimates(ctx)
         if skews is None:
+            # No estimates, so Algorithm 3 decides nothing; a node already
+            # at L^max still drops to the damped rate.
             self._enter_tracking_if_caught(ctx)
-            return
-        lambda_up, lambda_down = skews
-        hardware_now = ctx.hardware()
-        headroom = self.l_max(hardware_now) - ctx.logical()
-        increase = clamped_rate_increase(
-            lambda_up, lambda_down, self.params.kappa, headroom
-        )
-        if increase > _INCREASE_EPS:
-            ctx.set_rate_multiplier(1 + self.params.mu)
-            # The boost gains (1 + μ − damping) per unit of hardware time
-            # over L^max; cap the boost at whichever ends first: spending
-            # the increase budget R (at rate μ over the *hardware* clock,
-            # as in Algorithm 3) or hitting L^max.
-            budget_hw = increase / self.params.mu
-            catch_hw = headroom / (1 + self.params.mu - self._damping)
-            ctx.set_alarm(RATE_RESET_ALARM, hardware_now + min(budget_hw, catch_hw))
-        else:
-            ctx.set_rate_multiplier(1.0)
-            ctx.cancel_alarm(RATE_RESET_ALARM)
-            self._enter_tracking_if_caught(ctx)
+        return skews
+
+    def _boost(self, ctx, hardware_now, increase, headroom) -> None:
+        # The boost gains (1 + μ − damping) per unit of hardware time
+        # over L^max; cap the boost at whichever ends first: spending
+        # the increase budget R (at rate μ over the *hardware* clock,
+        # as in Algorithm 3) or hitting L^max.
+        ctx.set_rate_multiplier(1 + self.params.mu)
+        budget_hw = increase / self.params.mu
+        catch_hw = headroom / (1 + self.params.mu - self._damping)
+        ctx.set_alarm(RATE_RESET_ALARM, hardware_now + min(budget_hw, catch_hw))
+
+    def _rest(self, ctx: NodeContext) -> None:
+        super()._rest(ctx)
+        self._enter_tracking_if_caught(ctx)
 
     def _enter_tracking_if_caught(self, ctx: NodeContext) -> None:
         """At ``L = L^max`` drop to the damped rate; otherwise arm a catch

@@ -36,7 +36,7 @@ import math
 from typing import Any, Hashable, Optional, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import RATE_RESET_ALARM, AoptNode
+from repro.core.node import AoptNode
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
 
@@ -79,8 +79,7 @@ class _FaultTolerantNode(AoptNode):
         else:
             # No information left: run at the nominal rate (Algorithm 3
             # with an empty estimate set).
-            ctx.set_rate_multiplier(1.0)
-            ctx.cancel_alarm(RATE_RESET_ALARM)
+            self._rest(ctx)
 
     def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
         # Expire before Algorithm 2 runs so a cleared raw guard lets the
@@ -107,8 +106,7 @@ class _FaultTolerantNode(AoptNode):
         self._raw_received.clear()
         # The engine already pinned ρ to 1 at the crash; a pending rate
         # reset from before the outage is meaningless now.
-        ctx.set_rate_multiplier(1.0)
-        ctx.cancel_alarm(RATE_RESET_ALARM)
+        self._rest(ctx)
         # L^max kept advancing at h_v through the outage (it is anchored to
         # the hardware clock), so only the mark schedule needs re-anchoring.
         lmax_now = self.l_max(hardware_now)

@@ -16,33 +16,23 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import RATE_RESET_ALARM, AoptNode
+from repro.core.interfaces import Algorithm
+from repro.core.node import AoptNode
 from repro.core.params import SyncParams
-from repro.core.rate_rule import clamped_rate_increase
 
 __all__ = ["JumpAoptAlgorithm"]
 
 NodeId = Hashable
 
-_INCREASE_EPS = 1e-12
-
 
 class _JumpAoptNode(AoptNode):
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
-        """Apply the Algorithm 3 increase instantaneously."""
-        skews = self.skew_estimates(ctx)
-        if skews is None:
-            return
-        lambda_up, lambda_down = skews
-        headroom = self.l_max(ctx.hardware()) - ctx.logical()
-        increase = clamped_rate_increase(
-            lambda_up, lambda_down, self.params.kappa, headroom
-        )
-        if increase > _INCREASE_EPS:
-            ctx.jump_logical(ctx.logical() + increase)
-        # The rate multiplier stays 1 at all times; no reset alarm needed.
-        ctx.cancel_alarm(RATE_RESET_ALARM)
+    def _boost(self, ctx, hardware_now, increase, headroom) -> None:
+        """Apply the Algorithm 3 increase instantaneously.
+
+        The rate multiplier stays 1 at all times, so the inherited rest
+        branch never changes it and no reset alarm is ever armed.
+        """
+        ctx.jump_logical(ctx.logical() + increase)
 
 
 class JumpAoptAlgorithm(Algorithm):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms import names
 from repro.cli import build_parser, main
 
 
@@ -58,11 +59,7 @@ class TestSimulateCommand:
         )
         assert exit_code == 0
 
-    @pytest.mark.parametrize(
-        "algorithm",
-        ["aopt-jump", "aopt-min-gap", "aopt-bit-budget", "aopt-adaptive",
-         "midpoint", "oblivious-gradient", "free-running"],
-    )
+    @pytest.mark.parametrize("algorithm", names("cli"))
     def test_every_algorithm_choice_runs(self, algorithm, capsys):
         exit_code = main(
             [

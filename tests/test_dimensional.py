@@ -99,8 +99,10 @@ def test_time_outputs_scale_exactly(algorithm, index, exponent):
     assert_scales(sample_scenario(0, index, algorithm=algorithm), exponent)
 
 
-#: ``_INCREASE_EPS`` (``core/node.py``) is an absolute time threshold in
-#: Algorithm 3, where the paper tests for an increase greater than 0.  At
+#: ``_INCREASE_EPS`` is an absolute time threshold in Algorithm 3, where
+#: the paper tests for an increase greater than 0.  Its one definition is
+#: in ``core/node.py``, used by ``AoptNode._set_clock_rate`` (the only
+#: copy of the rule) and imported by the oblivious-gradient baseline.  At
 #: these scales it suppresses a different set of alarms than at unit
 #: scale, so the event counts differ.  Both pass with the threshold at 0.
 _INCREASE_EPS = pytest.mark.xfail(
