@@ -4,9 +4,11 @@ Drives a :class:`~repro.sim.monitors.StreamingSkewTracker` directly, with
 no engine, the way the engine feeds it: ``NODES`` clocks on a line, each
 on a random-walk hardware rate (``HORIZON / STEP`` rate segments), each
 checkpointing once per time unit at staggered instants.  The window size
-``16384 // NODES`` picks the tracker's evaluation path (numpy from 64
-instants, the pure-Python sweeps from 4, the scalar methods below), so
-runs at e.g. 1024, 4096, 5000, 8192 and 16384 nodes cover every path.
+``16384 // NODES`` picks the tracker's evaluation path (numpy from
+``VECTOR_MIN_INSTANTS`` instants, the per-instant methods below), so runs
+at e.g. 1024 and 4096 nodes cover both paths.  Each mode's line prints
+the path it took, ``path=numpy`` if it built a stacked kernel and
+``path=per-instant`` if not.
 
 The same checkpoints are also recorded on unpruned twin records over the
 same hardware clocks and wrapped in an
@@ -25,7 +27,9 @@ from __future__ import annotations
 import argparse
 import time
 import tracemalloc
+from unittest import mock
 
+from repro.sim import trace as trace_mod
 from repro.sim.clock import HardwareClock
 from repro.sim.drift import RandomWalkDrift
 from repro.sim.monitors import StreamingSkewTracker
@@ -33,6 +37,19 @@ from repro.sim.trace import ExecutionTrace, LogicalClockRecord
 from repro.topology.generators import line
 
 __all__ = ["measure", "main"]
+
+
+def _counting_stacks():
+    """Patch that counts :class:`~repro.sim.trace._Stack` builds: the
+    folds ran through numpy if it was called, else per instant."""
+    build = trace_mod._Stack.__init__
+    return mock.patch.object(
+        trace_mod._Stack, "__init__", autospec=True, side_effect=build
+    )
+
+
+def _path(stacks) -> str:
+    return "numpy" if stacks.called else "per-instant"
 
 
 def measure(nodes: int, horizon: float, step: float) -> str:
@@ -52,13 +69,14 @@ def measure(nodes: int, horizon: float, step: float) -> str:
         for k in range(1, int(horizon))
         for i in range(nodes)
     )
-    started = time.perf_counter()
-    for t, i in feed:
-        tracker.advance(t)
-        records[i].checkpoint(t, 1.0 + 0.01 * ((i + int(t)) % 5))
-        tracker.note_checkpoint(i, t)
-    tracker.finalize()
-    wall = time.perf_counter() - started
+    with _counting_stacks() as streamed:
+        started = time.perf_counter()
+        for t, i in feed:
+            tracker.advance(t)
+            records[i].checkpoint(t, 1.0 + 0.01 * ((i + int(t)) % 5))
+            tracker.note_checkpoint(i, t)
+        tracker.finalize()
+        wall = time.perf_counter() - started
     g, l = tracker.global_extremum(), tracker.local_extremum()
 
     for t, i in feed:
@@ -74,9 +92,10 @@ def measure(nodes: int, horizon: float, step: float) -> str:
         messages_received={},
         bits_sent={},
     )
-    started = time.perf_counter()
-    traced = trace.global_skew()
-    trace_wall = time.perf_counter() - started
+    with _counting_stacks() as folded:
+        started = time.perf_counter()
+        traced = trace.global_skew()
+        trace_wall = time.perf_counter() - started
     tracemalloc.start()
     try:
         trace.global_skew()
@@ -84,10 +103,11 @@ def measure(nodes: int, horizon: float, step: float) -> str:
     finally:
         tracemalloc.stop()
     return (
-        f"nodes={nodes} window={tracker.window_instants} wall={wall:.2f}s "
+        f"nodes={nodes} window={tracker.window_instants} path={_path(streamed)} "
+        f"wall={wall:.2f}s "
         f"global={g.value!r}@{g.time!r} local={l.value!r}@{l.time!r} "
         f"final={tracker.final_spread!r}\n"
-        f"trace global_skew wall={trace_wall:.2f}s "
+        f"trace global_skew path={_path(folded)} wall={trace_wall:.2f}s "
         f"peak={peak / 2**20:.1f}MiB global={traced.value!r}@{traced.time!r} "
         f"equal={traced == g}"
     )

@@ -11,7 +11,6 @@ uses to fire hardware-time alarms (Algorithms 1 and 4 of the paper).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterator, List, Sequence
 
 from repro.errors import TraceError
@@ -77,22 +76,11 @@ class HardwareClock:
         self._memo_v = v
         return v
 
+    # ROADMAP item 8 deletes this with benchmarks/ledger/tracing.py,
+    # which patches it by name.
     def values_at(self, ts: Sequence[float]) -> List[float]:
-        """Batched :meth:`value` over ascending ``ts`` (bit-identical).
-
-        The prefix at or before the start time reads 0.0; the rest is one
-        pointer sweep through the rate segments, each output computed with
-        the same expression as the scalar method.
-        """
-        split = bisect_right(ts, self._start_time)
-        out: List[float] = [0.0] * split
-        if split < len(ts):
-            start_integral = self._start_integral
-            out.extend(
-                integral - start_integral
-                for integral in self._rate.integrals_at(ts[split:])
-            )
-        return out
+        """:meth:`value` at each of ``ts``."""
+        return [self.value(t) for t in ts]
 
     def time_at_value(self, value: float) -> float:
         """Real time at which the clock first reads ``value`` (exact).

@@ -173,9 +173,9 @@ class StreamingSkewTracker:
     and the horizon endpoint in :meth:`finalize` are *flushed* through
     ``repro.sim.trace._fold_window``, the one skew fold trace mode's
     ``global_skew`` and ``max_pair_skew`` run too, in windows of the
-    same budget (one stacked numpy kernel built per flush, sweeps or
-    per-instant methods, chosen by window size); the window's winners
-    then merge into the running bests with strict ``>``.
+    same budget (one stacked numpy kernel built per flush of at least
+    ``VECTOR_MIN_INSTANTS`` instants, else the per-instant methods); the
+    window's winners then merge into the running bests with strict ``>``.
     Deferring evaluation is exact: every later checkpoint lands at or
     after the event frontier, past every pending instant, so the
     segments a pending instant reads never change.

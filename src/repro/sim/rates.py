@@ -128,35 +128,6 @@ class PiecewiseConstantRate:
             i = self._segment_index(t)
         return self._cumulative[i] + self._rates[i] * (t - times[i])
 
-    def integrals_at(self, ts: Sequence[float]) -> List[float]:
-        """Batched :meth:`integral_from_start` over ascending ``ts``.
-
-        One bisect places the first time; a forward pointer sweep does the
-        rest.  Each output is computed with exactly the same arithmetic
-        expression as the scalar method, so the results are bit-identical.
-        """
-        times = self._times
-        rates = self._rates
-        cumulative = self._cumulative
-        last_time = times[-1]
-        last_index = len(times) - 1
-        out: List[float] = []
-        append = out.append
-        i = max(bisect_right(times, ts[0]) - 1, 0) if ts else 0
-        for t in ts:
-            if t >= last_time:
-                i = last_index
-            else:
-                if t < times[0]:
-                    raise ScheduleError(
-                        f"time {t} precedes the rate function's domain start "
-                        f"{times[0]}"
-                    )
-                while i < last_index and times[i + 1] <= t:
-                    i += 1
-            append(cumulative[i] + rates[i] * (t - times[i]))
-        return out
-
     def integral(self, a: float, b: float) -> float:
         """``∫_a^b`` of the rate (``a ≤ b`` required)."""
         if b < a:

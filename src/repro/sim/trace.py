@@ -41,13 +41,9 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 #: ``max(1, FLUSH_CELLS // records)`` (the streaming tracker's flush).
 FLUSH_CELLS = 16384
 
-#: Fold size (instants) from which the skew fold evaluates through numpy.
-VECTOR_MIN_INSTANTS = 64
-
-#: Window size from which the pure-Python fold uses the batched sweeps;
-#: below it the scalar methods' bisects cost less than the sweeps'
-#: per-call set-up (measured crossover: 3 to 4 instants).
-SWEEP_MIN_INSTANTS = 4
+#: Fold size (instants) from which the skew fold evaluates through numpy;
+#: smaller folds, and every fold without numpy, evaluate per instant.
+VECTOR_MIN_INSTANTS = 8
 
 __all__ = [
     "LogicalClockRecord",
@@ -203,88 +199,15 @@ class LogicalClockRecord:
             self._hardware.value(t) - self._anchor_hws[i]
         )
 
-    def values_at(
-        self, ts: Sequence[float], _hw_values: Optional[List[float]] = None
-    ) -> List[float]:
-        """Batched :meth:`value` over ascending ``ts`` (bit-identical).
+    # ROADMAP item 8 deletes these two with benchmarks/ledger/tracing.py,
+    # which patches them by name.
+    def values_at(self, ts: Sequence[float]) -> List[float]:
+        """:meth:`value` at each of ``ts``."""
+        return [self.value(t) for t in ts]
 
-        One bisect places the first point and a forward pointer sweep does
-        the rest, so a short batch late in a long record costs no walk from
-        the start; every output is produced by exactly the same float
-        expression as the scalar method, so results agree to the last
-        bit.  ``_hw_values`` lets a caller evaluating both one-sided
-        limits reuse the hardware sweep (the hardware clock has no jumps,
-        so its values are shared).
-        """
-        times = self._times
-        values = self._values
-        multipliers = self._multipliers
-        anchors = self._anchor_hws
-        first = times[0]
-        last = times[-1]
-        last_index = len(times) - 1
-        start = self._start
-        hw_values = (
-            self._hardware.values_at(ts) if _hw_values is None else _hw_values
-        )
-        out: List[float] = []
-        append = out.append
-        i = max(bisect_right(times, ts[0]) - 1, 0) if ts else 0
-        for t, hw in zip(ts, hw_values):
-            if t >= last:
-                j = last_index
-            elif t < first:
-                if t < start:
-                    append(0.0)
-                    continue
-                raise TraceError(
-                    f"time {t} falls in the pruned prefix of this clock record "
-                    f"(kept from {first})"
-                )
-            else:
-                while i < last_index and times[i + 1] <= t:
-                    i += 1
-                j = i
-            append(values[j] + multipliers[j] * (hw - anchors[j]))
-        return out
-
-    def values_left_at(
-        self, ts: Sequence[float], _hw_values: Optional[List[float]] = None
-    ) -> List[float]:
-        """Batched :meth:`value_left` over ascending ``ts`` (bit-identical)."""
-        times = self._times
-        values = self._values
-        multipliers = self._multipliers
-        anchors = self._anchor_hws
-        first = times[0]
-        last = times[-1]
-        last_index = len(times) - 1
-        start = self._start
-        hw_values = (
-            self._hardware.values_at(ts) if _hw_values is None else _hw_values
-        )
-        out: List[float] = []
-        append = out.append
-        i = max(bisect_right(times, ts[0]) - 1, 0) if ts else 0
-        for t, hw in zip(ts, hw_values):
-            if t <= first:
-                if t <= start:
-                    append(0.0)
-                    continue
-                raise TraceError(
-                    f"time {t} falls in the pruned prefix of this clock record "
-                    f"(kept from {first})"
-                )
-            if t > last:
-                j = last_index
-            else:
-                while i < last_index and times[i + 1] <= t:
-                    i += 1
-                j = i
-                if times[j] == t and j > 0:
-                    j -= 1
-            append(values[j] + multipliers[j] * (hw - anchors[j]))
-        return out
+    def values_left_at(self, ts: Sequence[float]) -> List[float]:
+        """:meth:`value_left` at each of ``ts``."""
+        return [self.value_left(t) for t in ts]
 
     def multiplier_at(self, t: float) -> float:
         """The rate multiplier ρ in effect at time ``t``."""
@@ -545,8 +468,8 @@ def _stack(
 ) -> Optional[_Stack]:
     """The stacked kernel for one fold over ascending ``points``.
 
-    ``None`` (the fold evaluates in pure Python) without numpy or below
-    :data:`VECTOR_MIN_INSTANTS` instants.
+    ``None`` (the fold evaluates per instant, in pure Python) without
+    numpy or below :data:`VECTOR_MIN_INSTANTS` instants.
     """
     if _np is None or len(points) < VECTOR_MIN_INSTANTS:
         return None
@@ -578,10 +501,9 @@ def _fold_window(
     edge_ends[e]``, over the slots ``pair_instants`` lists for it.
 
     Columns come from ``stack`` (the fold's :class:`_Stack`, see
-    :func:`_stack`) when there is one, else from the ``values_at`` /
-    ``values_left_at`` sweeps from :data:`SWEEP_MIN_INSTANTS` instants
-    on, else from ``value`` / ``value_left`` per instant.  All three
-    compute the same floats, and both folds below pick the same winners.
+    :func:`_stack`) when there is one, else from ``value`` /
+    ``value_left`` per instant.  Both compute the same floats, and both
+    folds below pick the same winners.
     """
     n_inst = len(ts)
     if stack is not None:
@@ -622,15 +544,10 @@ def _fold_window(
     rights_flat: List[float] = []
     lefts_flat: List[float] = []
     zeros = [0.0] * n_inst
-    sweep = n_inst >= SWEEP_MIN_INSTANTS
     for record in records:
         if record is None:
             rights_flat += zeros
             lefts_flat += zeros
-        elif sweep:
-            hw_values = record.hardware.values_at(ts)
-            rights_flat += record.values_at(ts, _hw_values=hw_values)
-            lefts_flat += record.values_left_at(ts, _hw_values=hw_values)
         else:
             # Right then left at each instant: the left limit reuses the
             # hardware clock's memoised value.

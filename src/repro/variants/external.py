@@ -74,14 +74,6 @@ class _ExternalNode(AoptNode):
         gap = (self._next_mark - self.l_max(hardware_now)) / self._damping
         ctx.set_alarm(SEND_ALARM, hardware_now + gap)
 
-    def skew_estimates(self, ctx: NodeContext):
-        skews = super().skew_estimates(ctx)
-        if skews is None:
-            # No estimates, so Algorithm 3 decides nothing; a node already
-            # at L^max still drops to the damped rate.
-            self._enter_tracking_if_caught(ctx)
-        return skews
-
     def _boost(self, ctx, hardware_now, increase, headroom) -> None:
         # The boost gains (1 + μ − damping) per unit of hardware time
         # over L^max; cap the boost at whichever ends first: spending

@@ -19,8 +19,8 @@ last float bit.  These tests pin that contract three ways:
 * **trace vs streaming** — ``record_trace=False`` folds skew extrema
   incrementally instead of materializing a trace; both modes meet the
   same pin, while their (deliberately different) spec digests differ.
-* **fold paths** — every evaluation path of the skew fold (numpy,
-  sweeps, per-instant) gives the same extrema, at any window size.
+* **fold paths** — both evaluation paths of the skew fold (numpy and
+  per-instant) give the same extrema, at any window size.
 
 The scenario matrix reuses the certification fuzzer
 (:func:`repro.cert.fuzzer.sample_scenario`): seeded draws over
@@ -425,8 +425,7 @@ class TestByzantineChurnParity:
 #: fold down one evaluation path.
 FOLD_PATHS = {
     "numpy": {"VECTOR_MIN_INSTANTS": 1},
-    "sweeps": {"_np": None, "SWEEP_MIN_INSTANTS": 1},
-    "per-instant": {"_np": None, "SWEEP_MIN_INSTANTS": float("inf")},
+    "per-instant": {"_np": None},
 }
 
 
@@ -457,7 +456,7 @@ def _scan_oracle(records, ts):
 
 
 class TestVectorScalarParity:
-    """Every path of the skew fold must equal the others bit-for-bit.
+    """Both paths of the skew fold must equal each other bit-for-bit.
 
     Every numpy step is the same sequence of correctly-rounded float64
     operations applied elementwise (no reductions that reorder rounding),

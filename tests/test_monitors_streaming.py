@@ -15,11 +15,11 @@ must evaluate the same point set in the same order with the same
 arithmetic, which is the engine-parity contract (docs/ENGINE.md).
 
 The fold runs in flushed windows of pending instants; the window size
-and the numpy/pure-Python switch are patched per test so that windows
-evaluated with the scalar methods, with the pure-Python sweeps and with
-numpy over pruned records, and numpy-free installs, each meet the same
-oracle.  Trace mode folds in windows of the same budget, and must reach
-the tracker's extrema at each of those window sizes too.
+and the numpy cut-off are patched per test so that windows evaluated
+per instant with the scalar methods and with numpy over pruned records,
+on each side of the default cut-off, and numpy-free installs, each meet
+the same oracle.  Trace mode folds in windows of the same budget, and
+must reach the tracker's extrema at each of those window sizes too.
 
 The dedup regression from PR 3 — a logical checkpoint landing exactly on
 a hardware rate breakpoint is ONE linearity breakpoint, not two — gets a
@@ -30,6 +30,7 @@ from a grid that overlaps the drift breakpoint grid).
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -278,11 +279,15 @@ def _assert_matches_oracle(tracker, trace, topology):
         )
 
 
-#: ``(window instants, numpy threshold)`` per fold path under test.
+#: ``(window instants, numpy threshold)`` per fold path under test.  At
+#: the default cut-off of 8 instants the first three flush per instant,
+#: the widest of them one instant short of it, and ``cutoff-windows``
+#: reaches numpy; the ``numpy-*`` entries do from a single instant.
 WINDOW_CONFIGS = {
     "one-instant": (1, trace_mod.VECTOR_MIN_INSTANTS),
     "scalar-windows": (3, trace_mod.VECTOR_MIN_INSTANTS),
-    "python-windows": (5, trace_mod.VECTOR_MIN_INSTANTS),
+    "python-windows": (7, trace_mod.VECTOR_MIN_INSTANTS),
+    "cutoff-windows": (8, trace_mod.VECTOR_MIN_INSTANTS),
     "numpy-windows": (6, 1),
     "numpy-one-window": (10_000, 1),
 }
@@ -444,9 +449,96 @@ class TestPrunedVectorKernel:
             _stacked_columns([record, None], [record._times[0], 16.0], 2)
 
 
-class TestBatchedSweeps:
-    """The sweeps bisect to their first point, so a window may start
-    anywhere in a record: each slice equals the scalar methods."""
+def _scan_fold(records, ts, edge_ends):
+    """``_fold_window``'s result by the contract's scan, one instant and
+    one record at a time, with every edge folded at every instant."""
+    best, winners = (-1.0, 0, 0, 0), {}
+    for k, t in enumerate(ts):
+        rights = [0.0 if r is None else r.value(t) for r in records]
+        lefts = [0.0 if r is None else r.value_left(t) for r in records]
+        for column in (rights, lefts):
+            top, bottom = max(column), min(column)
+            if top - bottom > best[0]:
+                best = (top - bottom, k, column.index(top), column.index(bottom))
+        for e, (a, b) in enumerate(edge_ends):
+            magnitude = max(abs(rights[a] - rights[b]), abs(lefts[a] - lefts[b]))
+            if e not in winners or magnitude > winners[e][0]:
+                winners[e] = (magnitude, k)
+    return best + (winners,)
+
+
+class TestCutoff:
+    """Either side of ``VECTOR_MIN_INSTANTS`` folds to the same result,
+    and a streaming window that reaches it goes through numpy."""
+
+    @pytest.mark.parametrize(
+        "n_instants",
+        [trace_mod.VECTOR_MIN_INSTANTS - 1, trace_mod.VECTOR_MIN_INSTANTS],
+    )
+    def test_folds_either_side_match_scan(self, n_instants):
+        pruned, twin = _busy_record(start=2.0), _busy_record(start=2.0)
+        pruned.prune_to(15.0)
+        kept_from = pruned._times[0]
+        records = [pruned, None, _busy_record(start=16.0), _busy_record()]
+        edge_ends = [(0, 1), (0, 2), (2, 3), (0, 3)]
+        points = sorted(
+            {40.0}.union(*(
+                r.breakpoints_in(kept_from, 40.0) for r in (twin, *records[2:])
+            ))
+        )[1:]
+        assert points[0] > kept_from
+        jumps = [t for t in pruned.jump_times + records[2].jump_times if t > kept_from]
+        assert jumps
+        firsts = [points.index(t) for t in jumps] + [0, len(points) - n_instants]
+        for first in firsts:
+            ts = points[first : first + n_instants]
+            stack = trace_mod._stack(records, ts)
+            if trace_mod._np is not None:
+                assert (stack is None) == (
+                    len(ts) < trace_mod.VECTOR_MIN_INSTANTS
+                )
+            pairs = [(e, k) for k in range(len(ts)) for e in range(len(edge_ends))]
+            folded = trace_mod._fold_window(
+                records, ts, stack,
+                [e for e, _ in pairs], [k for _, k in pairs], edge_ends,
+            )
+            assert pickle.dumps(folded) == pickle.dumps(
+                _scan_fold(records, ts, edge_ends)
+            )
+
+    def test_streaming_1024_nodes_stacks_every_full_flush(self, monkeypatch):
+        pytest.importorskip("numpy")
+        n_nodes = 1024
+        ensemble = _build_ensemble(0, n_nodes)
+        topology = line(n_nodes)
+        flushes = []
+        flush, build = StreamingSkewTracker._flush, trace_mod._Stack.__init__
+
+        def counting_flush(tracker):
+            flushes.append([len(tracker._window_ts), 0])
+            flush(tracker)
+
+        def counting_build(stack, records, points):
+            flushes[-1][1] += 1
+            build(stack, records, points)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StreamingSkewTracker, "_flush", counting_flush)
+            patch.setattr(trace_mod._Stack, "__init__", counting_build)
+            tracker = _drive_tracker(ensemble, topology, prune=True)
+        assert tracker.window_instants == 16
+        full = [stacks for size, stacks in flushes if size == 16]
+        assert len(full) >= 2 and set(full) == {1}, flushes
+        for size, stacks in flushes:
+            assert stacks == (size >= trace_mod.VECTOR_MIN_INSTANTS), flushes
+        _assert_matches_oracle(
+            tracker, _build_oracle_trace(ensemble, topology), topology
+        )
+
+
+class TestPerInstantBatches:
+    """``values_at`` / ``values_left_at`` equal the scalar methods on any
+    slice of a record, pruned or not."""
 
     @pytest.mark.parametrize("prune_at", [None, 15.0])
     def test_slices_match_scalar_methods(self, prune_at):
@@ -456,13 +548,9 @@ class TestBatchedSweeps:
         floor = record.start_time if prune_at is None else record._times[0]
         grid = [0.125 * k for k in range(400)] + list(record._times) + [7.5, 21.0]
         points = sorted({t for t in grid if t > floor})
-        rate = record.hardware.rate_function
         for first in range(0, len(points), 9):
             for length in (1, 2, 7, 64):
                 ts = points[first:first + length]
-                assert rate.integrals_at(ts) == [
-                    rate.integral_from_start(t) for t in ts
-                ]
                 assert record.values_at(ts) == [record.value(t) for t in ts]
                 assert record.values_left_at(ts) == [
                     record.value_left(t) for t in ts
