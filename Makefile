@@ -101,10 +101,8 @@ sweep-smoke: lint lint-cold profile-smoke certify-smoke perf-smoke
 	$(PYTHON) -m repro sweep --topology line --diameters 3 \
 		--algorithm kllo-dynamic --churn 0.02 --churn-outage 3.0 \
 		--workers auto --no-cache
-	$(PYTHON) -m repro faults --scenario partition --nodes 8 \
-		--workers auto --no-cache
-	$(PYTHON) -m repro faults --byzantine --nodes 8 \
-		--workers auto --no-cache
+	$(PYTHON) -m repro faults --scenario partition --nodes 8
+	$(PYTHON) -m repro faults --byzantine --nodes 8
 	rm -rf /tmp/repro-smoke-queue /tmp/repro-smoke-manifest.json
 	! $(PYTHON) -m repro sweep --topology line --diameters 2 4 \
 		--workers 2 --no-cache --backend work-queue \

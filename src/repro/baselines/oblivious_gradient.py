@@ -58,13 +58,13 @@ class _ObliviousGradientNode(AoptNode):
         super().__init__(node_id, neighbors, params)
         self._threshold = threshold
 
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
+    def _set_clock_rate(self, ctx: NodeContext, hardware_now: float) -> None:
         """Single-level blocking rule replacing Algorithm 3."""
         skews = self.skew_estimates(ctx)
         if skews is None:
             return
         _, lambda_down = skews
-        headroom = self.l_max(ctx.hardware()) - ctx.logical()
+        headroom = self.l_max(hardware_now) - ctx.logical()
         blocked = lambda_down >= self._threshold
         if not blocked and headroom > _INCREASE_EPS:
             ctx.set_rate_multiplier(1 + self.params.mu)
@@ -72,7 +72,7 @@ class _ObliviousGradientNode(AoptNode):
             # advances at h_v, so the gap closes at rate mu·h_v) or until a
             # message re-evaluates the rule.
             ctx.set_alarm(
-                RATE_RESET_ALARM, ctx.hardware() + headroom / self.params.mu
+                RATE_RESET_ALARM, hardware_now + headroom / self.params.mu
             )
         else:
             ctx.set_rate_multiplier(1.0)

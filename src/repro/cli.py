@@ -39,11 +39,13 @@ Commands
     A^opt variants.  Exit 0 certified, 1 violation, 2 usage error (see
     ``docs/CERTIFICATION.md``).
 
-``sweep`` and ``faults`` accept ``--metrics json|table`` to report the
-batch's :class:`~repro.obs.metrics.SweepMetrics` (cache hit-rate,
-per-spec wall time, utilization, attempt/retry/timeout and lease-reclaim
-counters); ``sweep --cache-stats`` additionally surfaces on-disk cache
-state including orphaned temp files.
+``sweep --metrics json|table`` reports the batch's
+:class:`~repro.obs.metrics.SweepMetrics` (cache hit-rate, per-spec wall
+time, utilization, attempt/retry/timeout and lease-reclaim counters);
+``sweep --cache-stats`` additionally surfaces on-disk cache state
+including orphaned temp files.  ``faults --metrics json|table`` reports
+the engine counters (:class:`~repro.obs.metrics.RunMetrics`) of its one
+in-process run.
 
 ``sweep`` and ``certify`` are fault-tolerant campaigns: ``--backend
 work-queue --queue-dir DIR`` drains specs through lease-arbitrated
@@ -64,6 +66,7 @@ target (``lower-bound``).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -718,8 +721,8 @@ def _check_fault_flags(args) -> None:
 
 def _cmd_faults(args) -> int:
     from repro.errors import ReproError
-    from repro.exec.pool import SweepExecutor
     from repro.exec.spec import ExecutionSpec
+    from repro.exec.summary import summarize_trace
     from repro.faults import loss_accounting, per_epoch_skew, time_to_resync
     from repro.sim.delays import ConstantDelay
 
@@ -752,15 +755,12 @@ def _cmd_faults(args) -> int:
         label=f"faults:{args.scenario}:{args.algorithm}",
     )
 
-    # The summary goes through the executor so fault scenarios share the
-    # sweep cache (and replay byte-identically from it); the trace for the
-    # epoch/resync metrics is always computed locally.
-    workers, cache = _executor_options(args)
-    executor = SweepExecutor(
-        workers=workers, cache=cache, collect_metrics=bool(args.metrics)
+    # One in-process run: the epoch/resync metrics need the trace, and the
+    # summary is reduced from that same trace.
+    trace, monitors = spec.run(collect_metrics=bool(args.metrics))
+    summary = summarize_trace(
+        trace, digest=spec.digest(), label=spec.label, monitors=monitors
     )
-    summary = executor.run_summaries([spec])[0]
-    trace, _monitors = spec.run()
 
     g_bound = global_skew_bound(params, d)
     epoch_rows = [
@@ -820,13 +820,13 @@ def _cmd_faults(args) -> int:
         print(f"monitor violations: {len(summary.monitor_violations)}")
         for violation in summary.monitor_violations[:5]:
             print(f"  {violation}")
-    if args.metrics:
-        if summary.run_metrics is not None:
-            print(format_table(
-                ["counter", "value"], summary.run_metrics.counter_rows(),
-                title="engine counters",
-            ))
-        _print_sweep_metrics(executor.last_metrics, [], args.metrics)
+    if args.metrics == "json":
+        print(json.dumps(summary.run_metrics.as_dict(), indent=2, sort_keys=True))
+    elif args.metrics:
+        print(format_table(
+            ["counter", "value"], summary.run_metrics.counter_rows(),
+            title="engine counters",
+        ))
     return 0 if ttr is not None else 1
 
 
@@ -1343,7 +1343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--byzantine-count", dest="byzantine_count", type=int, default=1,
         help="byzantine: number of corrupting nodes (default: 1)"
     )
-    add_executor_arguments(faults_parser)
     add_metrics_argument(faults_parser)
     faults_parser.set_defaults(handler=_cmd_faults)
 

@@ -29,6 +29,13 @@ Initialization follows Section 4.2: an initiator sends ``⟨0, 0⟩``; a node
 woken by its first message adopts the received ``L^max`` and immediately
 triggers a sending event, flooding initialization through the network.
 
+The paper's adaptations (§6.1, §6.2, §8.1, §8.3) change Algorithms 1–2
+only through three hooks — :meth:`AoptNode._receive` (wire format in),
+:meth:`AoptNode._send` (wire format and send gate out) and
+:meth:`AoptNode._adopt` (the forwarding rule) — and Algorithm 3 only
+through the four hooks of :meth:`AoptNode._set_clock_rate`;
+``docs/ALGORITHM.md`` tabulates which variant overrides which.
+
 By Lemma 5.1, calling *setClockRate* between messages would never change
 ``ρ_v`` or ``H_v^R``, so reacting only to message receipts and the two
 alarms reproduces the continuous-time algorithm exactly.
@@ -121,29 +128,26 @@ class AoptNode(AlgorithmNode):
         ctx.set_alarm(INIT_ALARM, 0.0)
 
     def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
-        their_logical, their_lmax = payload
+        received = self._receive(ctx, sender, payload)
+        if received is None:
+            return
+        their_logical, their_lmax = received
         hardware_now = ctx.hardware()
-        forced_send = self._needs_init_send
-        self._needs_init_send = False
 
         lmax_now = self.l_max(hardware_now)
         if their_lmax > lmax_now:
-            # Algorithm 2 lines 1-4: adopt and forward the larger estimate.
-            # Received estimates are integer multiples of H0 by construction,
-            # so this send accounts for that multiple (one send per multiple).
-            self._lmax_value = their_lmax
-            self._lmax_anchor = hardware_now
-            self._next_mark = their_lmax + self.params.h0
-            ctx.send_all((ctx.logical(), their_lmax))
-            self._arm_send_alarm(ctx, hardware_now)
-        elif forced_send:
+            # Algorithm 2 lines 1-4.  The wake flag is cleared only below,
+            # so an _adopt that does not forward can still make the
+            # initialization send of a node this message woke.
+            self._adopt(ctx, their_lmax, hardware_now)
+        elif self._needs_init_send:
             # Initialization send of a node woken by this very message but
             # whose L^max estimate was not below the received one.
-            self._next_mark = (
-                math.floor(lmax_now / self.params.h0) * self.params.h0 + self.params.h0
-            )
-            ctx.send_all((ctx.logical(), lmax_now))
+            h0 = self.params.h0
+            self._next_mark = math.floor(lmax_now / h0) * h0 + h0
+            self._send(ctx, hardware_now)
             self._arm_send_alarm(ctx, hardware_now)
+        self._needs_init_send = False
 
         # Algorithm 2 lines 5-7: refresh the neighbor estimate unless the
         # received value is stale (not larger than the raw record).
@@ -154,27 +158,52 @@ class AoptNode(AlgorithmNode):
                 ctx.probe("estimate", (sender, their_logical))
 
         # Algorithm 2 lines 8-10.
-        self._set_clock_rate(ctx)
+        self._set_clock_rate(ctx, hardware_now)
 
     def on_alarm(self, ctx: NodeContext, name: str) -> None:
         if name == INIT_ALARM:
             if self._needs_init_send:
                 self._needs_init_send = False
-                ctx.send_all((ctx.logical(), self.l_max(ctx.hardware())))
+                hardware_now = ctx.hardware()
+                self._send(ctx, hardware_now)
                 self._next_mark = self.params.h0
-                self._arm_send_alarm(ctx, ctx.hardware())
+                self._arm_send_alarm(ctx, hardware_now)
         elif name == SEND_ALARM:
             # Algorithm 1: L^max reached the next multiple of H0.  Snap the
             # estimate to the exact multiple to avoid float drift.
             hardware_now = ctx.hardware()
             self._lmax_value = self._next_mark
             self._lmax_anchor = hardware_now
-            ctx.send_all((ctx.logical(), self._next_mark))
+            self._send(ctx, hardware_now)
             self._next_mark += self.params.h0
             self._arm_send_alarm(ctx, hardware_now)
         elif name == RATE_RESET_ALARM:
             # Algorithm 4: the hardware clock reached H^R.
             ctx.set_rate_multiplier(1.0)
+
+    # -- Algorithm 1-2 hooks ---------------------------------------------------
+
+    def _receive(
+        self, ctx: NodeContext, sender: NodeId, payload: Any
+    ) -> Optional[Tuple[float, float]]:
+        """Decode a message into ``(L_w, L_w^max)``; ``None`` if consumed."""
+        return payload
+
+    def _send(self, ctx: NodeContext, hardware_now: float) -> None:
+        """Broadcast ``⟨L_v, L_v^max⟩``, the message of Algorithm 1."""
+        ctx.send_all((ctx.logical(), self.l_max(hardware_now)))
+
+    def _adopt(self, ctx: NodeContext, their_lmax: float, hardware_now: float) -> None:
+        """Algorithm 2 lines 1-4: adopt the larger ``L^max`` and forward it.
+
+        Received estimates are integer multiples of ``H0`` by construction,
+        so this send accounts for that multiple (one send per multiple).
+        """
+        self._lmax_value = their_lmax
+        self._lmax_anchor = hardware_now
+        self._next_mark = their_lmax + self.params.h0
+        self._send(ctx, hardware_now)
+        self._arm_send_alarm(ctx, hardware_now)
 
     # -- internals ------------------------------------------------------------
 
@@ -182,7 +211,7 @@ class AoptNode(AlgorithmNode):
         gap = self._next_mark - self.l_max(hardware_now)
         ctx.set_alarm(SEND_ALARM, hardware_now + gap)
 
-    def _set_clock_rate(self, ctx: NodeContext) -> None:
+    def _set_clock_rate(self, ctx: NodeContext, hardware_now: float) -> None:
         """Algorithm 3 (*setClockRate*), the one copy of the rule.
 
         Variants change what feeds it through four hooks and leave the
@@ -194,7 +223,6 @@ class AoptNode(AlgorithmNode):
         if skews is None:
             return
         lambda_up, lambda_down = skews
-        hardware_now = ctx.hardware()
         headroom = self._headroom(ctx, hardware_now)
         increase = clamped_rate_increase(
             lambda_up, lambda_down, self._kappa(), headroom

@@ -35,6 +35,8 @@ from repro.lint.findings import ModuleInfo
 
 __all__ = [
     "CallSite",
+    "DIGEST_KEYWORDS",
+    "REPLAY_SEGMENTS",
     "dotted_parts",
     "SourceSite",
     "ImpuritySite",
@@ -47,7 +49,7 @@ __all__ = [
     "summarize_module",
 ]
 
-#: Replay-critical path segments, mirroring R002's scope.
+#: Replay-critical path segments; also the scope of R002.
 REPLAY_SEGMENTS = frozenset({"sim", "exec", "faults"})
 
 #: Function names that are digest-critical sinks wherever they appear.
@@ -125,10 +127,10 @@ _RNG_CALLS = frozenset(
 )
 
 #: Function-name keywords placing a function in digest/comparison scope
-#: (shared with R003); unordered set iteration only counts as a taint
+#: (R003's scope); unordered set iteration only counts as a taint
 #: source inside these, so the interprocedural pass extends R003 rather
 #: than second-guessing every set loop in the tree.
-_DIGEST_KEYWORDS = (
+DIGEST_KEYWORDS = (
     "digest",
     "hash",
     "canonical",
@@ -481,7 +483,7 @@ class _Extractor:
             line=node.lineno,
             sink=self._sink_reason(node.name),
         )
-        digest_scope = any(kw in node.name.lower() for kw in _DIGEST_KEYWORDS)
+        digest_scope = any(kw in node.name.lower() for kw in DIGEST_KEYWORDS)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 self._record_call(fn, sub)

@@ -36,6 +36,7 @@ import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding, ModuleInfo
+from repro.lint.graph import DIGEST_KEYWORDS, REPLAY_SEGMENTS, dotted_parts
 
 __all__ = [
     "Rule",
@@ -84,19 +85,6 @@ def register(cls):
         raise ValueError(f"duplicate rule id {cls.id}")
     RULES[cls.id] = cls()
     return cls
-
-
-def _dotted_parts(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``a.b.c`` as ``("a", "b", "c")``, or None for non-dotted exprs."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return tuple(parts)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +137,7 @@ class UnseededRandomRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            parts = _dotted_parts(node.func)
+            parts = dotted_parts(node.func)
             if parts is not None and len(parts) == 2 and parts[0] in module_aliases:
                 attr = parts[1]
                 if attr == "Random":
@@ -224,7 +212,7 @@ class WallClockRule(Rule):
     id = "R002"
     summary = "no wall-clock/env reads in sim/exec/faults layers"
 
-    _SCOPE_SEGMENTS = frozenset({"sim", "exec", "faults"})
+    _SCOPE_SEGMENTS = REPLAY_SEGMENTS
     _WALL_TIME_FUNCS = frozenset({"time", "time_ns"})
     _WALL_DT_FUNCS = frozenset({"now", "utcnow", "today"})
 
@@ -266,7 +254,7 @@ class WallClockRule(Rule):
 
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Attribute):
-                parts = _dotted_parts(node)
+                parts = dotted_parts(node)
                 if (
                     parts is not None
                     and len(parts) == 2
@@ -281,7 +269,7 @@ class WallClockRule(Rule):
                         "constructor argument",
                     )
             elif isinstance(node, ast.Call):
-                parts = _dotted_parts(node.func)
+                parts = dotted_parts(node.func)
                 if parts is not None and len(parts) >= 2:
                     head, tail = parts[0], parts[-1]
                     if head in os_mods and parts[1] == "getenv":
@@ -365,15 +353,7 @@ class UnorderedIterationRule(Rule):
     id = "R003"
     summary = "no unordered set iteration/formatting in digest code"
 
-    _SCOPE_KEYWORDS = (
-        "digest",
-        "hash",
-        "canonical",
-        "encode",
-        "pattern",
-        "match",
-        "compare",
-    )
+    _SCOPE_KEYWORDS = DIGEST_KEYWORDS
     _SET_OPS = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -528,7 +508,7 @@ class DigestCoverageRule(Rule):
     def _is_dataclass(classdef: ast.ClassDef) -> bool:
         for decorator in classdef.decorator_list:
             target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            parts = _dotted_parts(target)
+            parts = dotted_parts(target)
             if parts is not None and parts[-1] == "dataclass":
                 return True
         return False
@@ -552,7 +532,7 @@ class DigestCoverageRule(Rule):
         all_consts: Set[str] = set()
         for node in ast.walk(encoder):
             if isinstance(node, ast.Call):
-                parts = _dotted_parts(node.func)
+                parts = dotted_parts(node.func)
                 if parts is not None and parts[-1] == "fields":
                     dynamic = True
             elif isinstance(node, ast.Compare):
@@ -830,7 +810,7 @@ class FloatExactnessRule(Rule):
             if isinstance(node.func, ast.Name) and node.func.id == "sum":
                 yield from self._check_builtin_sum(module, node)
             else:
-                parts = _dotted_parts(node.func)
+                parts = dotted_parts(node.func)
                 if (
                     parts is not None
                     and len(parts) >= 2
@@ -951,7 +931,7 @@ class AtomicIORule(Rule):
         for node in self._own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
-            parts = _dotted_parts(node.func)
+            parts = dotted_parts(node.func)
             if parts is None:
                 continue
             if parts == ("open",) or (
@@ -1024,7 +1004,7 @@ class AtomicIORule(Rule):
             kw.value for kw in node.keywords if kw.arg == "flags"
         ]:
             for sub in ast.walk(arg):
-                parts = _dotted_parts(sub)
+                parts = dotted_parts(sub)
                 if parts is not None and parts[-1].startswith("O_"):
                     flag_names.add(parts[-1])
         if "O_CREAT" in flag_names and "O_EXCL" not in flag_names:

@@ -26,7 +26,7 @@ otherwise.
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
 from repro.core.node import AoptNode
@@ -57,34 +57,22 @@ class NoMaxCapAopt(Algorithm):
 
 
 class _LazyForwardNode(AoptNode):
-    def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
-        their_logical, their_lmax = payload
-        hardware_now = ctx.hardware()
-        forced_send = self._needs_init_send
-        self._needs_init_send = False
-
-        lmax_now = self.l_max(hardware_now)
-        if their_lmax > lmax_now:
-            # Ablated: adopt, but do NOT forward; the next mark-triggered
-            # send (possibly a full H0 away) carries it onward.
-            self._lmax_value = their_lmax
-            self._lmax_anchor = hardware_now
-            self._next_mark = their_lmax + self.params.h0
-            self._arm_send_alarm(ctx, hardware_now)
-        if forced_send:
-            ctx.send_all((ctx.logical(), self.l_max(hardware_now)))
+    def _adopt(self, ctx: NodeContext, their_lmax: float, hardware_now: float) -> None:
+        # Ablated: adopt, but do NOT forward; the next mark-triggered send
+        # (possibly a full H0 away) carries it onward.
+        h0 = self.params.h0
+        self._lmax_value = their_lmax
+        self._lmax_anchor = hardware_now
+        self._next_mark = their_lmax + h0
+        self._arm_send_alarm(ctx, hardware_now)
+        if self._needs_init_send:
+            # A node woken by this message still makes its initialization
+            # send.
+            self._send(ctx, hardware_now)
             self._next_mark = max(
-                self._next_mark,
-                math.floor(self.l_max(hardware_now) / self.params.h0)
-                * self.params.h0
-                + self.params.h0,
+                self._next_mark, math.floor(their_lmax / h0) * h0 + h0
             )
             self._arm_send_alarm(ctx, hardware_now)
-
-        if their_logical > self._raw_received.get(sender, -math.inf):
-            self._raw_received[sender] = their_logical
-            self._estimates[sender] = (their_logical, hardware_now)
-        self._set_clock_rate(ctx)
 
 
 class LazyForwardAopt(Algorithm):

@@ -65,7 +65,7 @@ class _AdaptiveDelayNode(AoptNode):
 
     # -- messaging with acks and estimate floods ------------------------------
 
-    def _adopt_estimate(self, ctx: NodeContext, value: float) -> None:
+    def _raise_estimate(self, ctx: NodeContext, value: float) -> None:
         """Adopt a larger delay estimate; flood if it doubles the announced."""
         if value > self._delay_estimate:
             self._delay_estimate = value
@@ -73,88 +73,30 @@ class _AdaptiveDelayNode(AoptNode):
             self._announced = self._delay_estimate
             ctx.send_all(("that", self._announced))
 
-    def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
+    def _receive(self, ctx: NodeContext, sender: NodeId, payload: Any):
         kind = payload[0]
-        hardware_now = ctx.hardware()
+        if kind == "sync":
+            # ⟨L_w, L_w^max⟩ plus the sender's send time, acknowledged.
+            _, their_logical, their_lmax, their_send_hw = payload
+            ctx.send_to(sender, ("ack", their_send_hw))
+            return their_logical, their_lmax
         if kind == "ack":
             _, echoed_send_hw = payload
-            rtt_hw = hardware_now - echoed_send_hw
+            rtt_hw = ctx.hardware() - echoed_send_hw
             # One-way delay <= round trip; discount the worst-case slow
             # clock to over- rather than under-estimate.
-            self._adopt_estimate(
-                ctx, rtt_hw / (1 - self.params.epsilon_hat)
-            )
-            return
-        if kind == "that":
+            self._raise_estimate(ctx, rtt_hw / (1 - self.params.epsilon_hat))
+        else:  # "that": a flooded announcement
             _, announced = payload
             if announced > self._announced:
                 self._delay_estimate = max(self._delay_estimate, announced)
                 self._announced = announced
                 ctx.send_all(("that", announced))
-            return
-        # kind == "sync": ⟨L_w, L_w^max⟩ plus the sender's send time.
-        _, their_logical, their_lmax, their_send_hw = payload
-        ctx.send_to(sender, ("ack", their_send_hw))
-        super().on_message(self._wrap(ctx), sender, (their_logical, their_lmax))
+        return None
 
-    # AoptNode broadcasts plain (L, L^max) tuples from three sites; wrap
-    # the context so every outgoing sync message is tagged and timestamped.
-    def _wrap(self, ctx: NodeContext) -> NodeContext:
-        return _TaggingContext(ctx)
-
-    def on_start(self, ctx: NodeContext) -> None:
-        super().on_start(self._wrap(ctx))
-
-    def on_alarm(self, ctx: NodeContext, name: str) -> None:
-        super().on_alarm(self._wrap(ctx), name)
-
-
-class _TaggingContext(NodeContext):
-    """Tags tuple payloads from AoptNode as sync messages with send time."""
-
-    def __init__(self, inner: NodeContext):
-        self._inner = inner
-        self.node_id = inner.node_id
-        self.neighbors = inner.neighbors
-
-    def _tag(self, payload: Any) -> Any:
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and not isinstance(payload[0], str)
-        ):
-            return ("sync", payload[0], payload[1], self._inner.hardware())
-        return payload
-
-    def hardware(self) -> float:
-        return self._inner.hardware()
-
-    def logical(self) -> float:
-        return self._inner.logical()
-
-    def set_rate_multiplier(self, rho: float) -> None:
-        self._inner.set_rate_multiplier(rho)
-
-    def rate_multiplier(self) -> float:
-        return self._inner.rate_multiplier()
-
-    def jump_logical(self, value: float) -> None:
-        self._inner.jump_logical(value)
-
-    def send_to(self, neighbor: NodeId, payload: Any) -> None:
-        self._inner.send_to(neighbor, self._tag(payload))
-
-    def send_all(self, payload: Any) -> None:
-        self._inner.send_all(self._tag(payload))
-
-    def set_alarm(self, name: str, hardware_value: float) -> None:
-        self._inner.set_alarm(name, hardware_value)
-
-    def cancel_alarm(self, name: str) -> None:
-        self._inner.cancel_alarm(name)
-
-    def probe(self, name: str, value: Any) -> None:
-        self._inner.probe(name, value)
+    def _send(self, ctx: NodeContext, hardware_now: float) -> None:
+        # Sync messages carry their send time for the receiver's ack.
+        ctx.send_all(("sync", ctx.logical(), self.l_max(hardware_now), hardware_now))
 
 
 class AdaptiveDelayAoptAlgorithm(Algorithm):

@@ -29,7 +29,7 @@ import math
 from typing import Any, Dict, Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import INIT_ALARM, RATE_RESET_ALARM, SEND_ALARM, AoptNode
+from repro.core.node import AoptNode
 from repro.core.params import SyncParams
 
 __all__ = ["BitBudgetAoptAlgorithm", "bit_budget_params"]
@@ -95,69 +95,34 @@ class _BitBudgetNode(AoptNode):
         self._announced_lmax_units += lmax_step
         return ("delta", delta_steps, lmax_step)
 
-    def _broadcast(self, ctx: NodeContext) -> None:
-        ctx.send_all(self._encode(ctx))
+    # -- A^opt's Algorithm 1-2 hooks in the encoded wire format ---------------
 
-    # -- A^opt hooks rewritten for the encoded wire format --------------------
-
-    def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
-        hardware_now = ctx.hardware()
-        forced_send = self._needs_init_send
-        self._needs_init_send = False
-
-        kind = payload[0]
-        if kind == "init":
+    def _receive(self, ctx: NodeContext, sender: NodeId, payload: Any):
+        if payload[0] == "init":
             _, their_logical, their_lmax_units = payload
             self._their_logical[sender] = their_logical
             self._their_lmax_units[sender] = their_lmax_units
-        else:
+        elif sender in self._their_logical:
             _, delta_steps, lmax_step = payload
-            # A delta before the init message cannot happen on a reliable
-            # FIFO-free channel only if reordering swapped them; guard by
-            # treating it as zero knowledge.
-            if sender in self._their_logical:
-                self._their_logical[sender] += delta_steps * self._quantum
-                self._their_lmax_units[sender] += lmax_step
-            else:  # pragma: no cover - defensive (reordered init)
-                return
-        their_logical = self._their_logical[sender]
-        their_lmax = self._their_lmax_units[sender] * self.params.h0
+            self._their_logical[sender] += delta_steps * self._quantum
+            self._their_lmax_units[sender] += lmax_step
+        else:  # pragma: no cover - defensive (reordered init)
+            # A delta whose init was lost or overtaken cannot be decoded;
+            # drop it, treating it as zero knowledge.
+            return None
+        return (
+            self._their_logical[sender],
+            self._their_lmax_units[sender] * self.params.h0,
+        )
 
-        lmax_now = self.l_max(hardware_now)
-        if their_lmax > lmax_now + 1e-9:
-            self._lmax_value = their_lmax
-            self._lmax_anchor = hardware_now
-            self._next_mark = their_lmax + self.params.h0
-            self._broadcast(ctx)
-            self._arm_send_alarm(ctx, hardware_now)
-        elif forced_send:
-            self._next_mark = (
-                math.floor(lmax_now / self.params.h0) * self.params.h0 + self.params.h0
-            )
-            self._broadcast(ctx)
-            self._arm_send_alarm(ctx, hardware_now)
+    def _send(self, ctx: NodeContext, hardware_now: float) -> None:
+        ctx.send_all(self._encode(ctx))
 
-        if their_logical > self._raw_received.get(sender, -math.inf):
-            self._raw_received[sender] = their_logical
-            self._estimates[sender] = (their_logical, hardware_now)
-        self._set_clock_rate(ctx)
-
-    def on_alarm(self, ctx: NodeContext, name: str) -> None:
-        if name == INIT_ALARM:
-            if self._needs_init_send:
-                self._needs_init_send = False
-                self._next_mark = self.params.h0
-                self._broadcast(ctx)
-                self._arm_send_alarm(ctx, ctx.hardware())
-        elif name == SEND_ALARM:
-            hardware_now = ctx.hardware()
-            self._lmax_value = self._next_mark
-            self._lmax_anchor = hardware_now
-            self._next_mark += self.params.h0
-            self._broadcast(ctx)
-            self._arm_send_alarm(ctx, hardware_now)
-        elif name == RATE_RESET_ALARM:
-            ctx.set_rate_multiplier(1.0)
+    def _adopt(self, ctx: NodeContext, their_lmax: float, hardware_now: float) -> None:
+        # Announced L^max values are whole units of H0; a lead within float
+        # noise of the local estimate is not adopted.
+        if their_lmax > self.l_max(hardware_now) + 1e-9:
+            super()._adopt(ctx, their_lmax, hardware_now)
 
 
 class BitBudgetAoptAlgorithm(Algorithm):

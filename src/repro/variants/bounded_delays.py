@@ -17,11 +17,10 @@ overestimate ``L^max`` by up to ``ε·T1``.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import INIT_ALARM, RATE_RESET_ALARM, AoptNode
+from repro.core.node import INIT_ALARM, AoptNode
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
 
@@ -62,41 +61,31 @@ class _BoundedDelayNode(AoptNode):
         super().__init__(node_id, neighbors, params)
         self._compensation = (1 - params.epsilon_hat) * min_delay
 
-    def on_start(self, ctx: NodeContext) -> None:
-        super().on_start(ctx)
-
-    def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
-        their_logical, their_lmax = payload
-        their_logical += self._compensation
-        their_lmax += self._compensation
-        hardware_now = ctx.hardware()
+    def _receive(self, ctx: NodeContext, sender: NodeId, payload: Any):
+        # The init alarm starts the periodic sends whatever woke the node,
+        # so no message forces an initialization send.
         self._needs_init_send = False
+        their_logical, their_lmax = payload
+        return their_logical + self._compensation, their_lmax + self._compensation
 
-        if their_lmax > self.l_max(hardware_now):
-            # Adopt, but do not forward: with compensation the values are
-            # no longer multiples of H0 and mark-based deduplication does
-            # not apply; propagation rides on the periodic sends (§8.3).
-            self._lmax_value = their_lmax
-            self._lmax_anchor = hardware_now
-        if their_logical > self._raw_received.get(sender, -math.inf):
-            self._raw_received[sender] = their_logical
-            self._estimates[sender] = (their_logical, hardware_now)
-        self._set_clock_rate(ctx)
+    def _adopt(self, ctx: NodeContext, their_lmax: float, hardware_now: float) -> None:
+        # Adopt, but do not forward: with compensation the values are no
+        # longer multiples of H0 and mark-based deduplication does not
+        # apply; propagation rides on the periodic sends (§8.3).
+        self._lmax_value = their_lmax
+        self._lmax_anchor = hardware_now
+
+    def _send(self, ctx: NodeContext, hardware_now: float) -> None:
+        super()._send(ctx, hardware_now)
+        ctx.set_alarm(PERIODIC_SEND_ALARM, hardware_now + self.params.h0)
 
     def on_alarm(self, ctx: NodeContext, name: str) -> None:
-        if name == INIT_ALARM:
-            if self._needs_init_send:
-                self._needs_init_send = False
-            self._periodic_send(ctx)
-        elif name == PERIODIC_SEND_ALARM:
-            self._periodic_send(ctx)
-        elif name == RATE_RESET_ALARM:
-            ctx.set_rate_multiplier(1.0)
-
-    def _periodic_send(self, ctx: NodeContext) -> None:
-        hardware_now = ctx.hardware()
-        ctx.send_all((ctx.logical(), self.l_max(hardware_now)))
-        ctx.set_alarm(PERIODIC_SEND_ALARM, hardware_now + self.params.h0)
+        # Sends run every H0 of hardware time from the init alarm on; the
+        # L^max marks never arm the send alarm.
+        if name == PERIODIC_SEND_ALARM or name == INIT_ALARM:
+            self._send(ctx, ctx.hardware())
+        else:
+            super().on_alarm(ctx, name)
 
 
 class BoundedDelayAoptAlgorithm(Algorithm):

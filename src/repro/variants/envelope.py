@@ -71,10 +71,11 @@ class _HardwareEnvelopeNode(AoptNode):
     def on_message(self, ctx: NodeContext, sender, payload) -> None:
         lmax_before = self.l_max(ctx.hardware())
         super().on_message(ctx, sender, payload)
-        if self.l_max(ctx.hardware()) > lmax_before + 1e-12:
+        hardware_now = ctx.hardware()
+        if self.l_max(hardware_now) > lmax_before + 1e-12:
             self._refresh_lmax_mode(ctx)
-            self._arm_send_alarm(ctx, ctx.hardware())
-            self._set_clock_rate(ctx)
+            self._arm_send_alarm(ctx, hardware_now)
+            self._set_clock_rate(ctx, hardware_now)
 
     def _boost(self, ctx, hardware_now, increase, headroom) -> None:
         # L^max grows at _lmax_factor, so the boost closes the headroom at

@@ -36,7 +36,7 @@ import math
 from typing import Any, Hashable, Optional, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import AoptNode
+from repro.core.node import SEND_ALARM, AoptNode
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
 
@@ -75,7 +75,7 @@ class _FaultTolerantNode(AoptNode):
             del self._estimates[neighbor]
             self._raw_received.pop(neighbor, None)
         if self._estimates:
-            self._set_clock_rate(ctx)
+            self._set_clock_rate(ctx, hardware_now)
         else:
             # No information left: run at the nominal rate (Algorithm 3
             # with an empty estimate set).
@@ -93,8 +93,6 @@ class _FaultTolerantNode(AoptNode):
         # Algorithm 1 fires at least once per H0 of L^max progress, which
         # makes it the periodic expiry sweep: a node that stops *receiving*
         # still stops chasing ghosts within one timeout plus one period.
-        from repro.core.node import SEND_ALARM
-
         if name == SEND_ALARM:
             self._expire_stale(ctx, ctx.hardware())
 
@@ -116,7 +114,7 @@ class _FaultTolerantNode(AoptNode):
         # who will reject our stale raw values) re-learn us within one
         # message delay.  Re-arming the send alarm bumps its generation,
         # superseding any alarm the engine deferred across the outage.
-        ctx.send_all((ctx.logical(), lmax_now))
+        self._send(ctx, hardware_now)
         self._arm_send_alarm(ctx, hardware_now)
 
 

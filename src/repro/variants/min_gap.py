@@ -9,8 +9,9 @@ per ``H0`` in the worst case, adding ``Θ(ε·D·H0)`` to the global skew —
 the tunable trade-off of §6.1 that ``benchmarks/bench_min_gap.py``
 measures.
 
-Implementation: all of A^opt's send sites funnel through a gate that
-either sends immediately or arms a ``gap-send`` alarm at
+Implementation: the ``_send`` hook, which every Algorithm 1 send and
+Algorithm 2 forward of A^opt calls, is a gate that either sends
+immediately or arms a ``gap-send`` alarm at
 ``last_send_H + H0``; a deferred send transmits the *current* values at
 fire time.  Because deferred ``L^max`` values are no longer exact
 multiples of ``H0``, mark bookkeeping floors to the enclosing multiple.
@@ -19,10 +20,10 @@ multiples of ``H0``, mark bookkeeping floors to the enclosing multiple.
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro.core.interfaces import Algorithm, NodeContext
-from repro.core.node import INIT_ALARM, RATE_RESET_ALARM, SEND_ALARM, AoptNode
+from repro.core.node import AoptNode
 from repro.core.params import SyncParams
 
 __all__ = ["MinGapAoptAlgorithm"]
@@ -38,71 +39,35 @@ class _MinGapNode(AoptNode):
         self._last_send_hw = -math.inf
         self._pending_send = False
 
-    # -- gated sending -------------------------------------------------------
-
-    def _gated_send(self, ctx: NodeContext) -> None:
+    def _send(self, ctx: NodeContext, hardware_now: float) -> None:
         """Send now if the gap allows, otherwise defer to the gap alarm."""
-        hardware_now = ctx.hardware()
         if hardware_now - self._last_send_hw >= self.params.h0 - 1e-12:
             self._last_send_hw = hardware_now
             self._pending_send = False
-            ctx.send_all((ctx.logical(), self.l_max(hardware_now)))
+            super()._send(ctx, hardware_now)
         elif not self._pending_send:
             self._pending_send = True
             ctx.set_alarm(GAP_SEND_ALARM, self._last_send_hw + self.params.h0)
 
-    def on_message(self, ctx: NodeContext, sender: NodeId, payload: Any) -> None:
-        their_logical, their_lmax = payload
-        hardware_now = ctx.hardware()
-        forced_send = self._needs_init_send
-        self._needs_init_send = False
-
-        lmax_now = self.l_max(hardware_now)
-        if their_lmax > lmax_now:
-            self._lmax_value = their_lmax
-            self._lmax_anchor = hardware_now
-            self._next_mark = (
-                math.floor(their_lmax / self.params.h0 + 1e-9) * self.params.h0
-                + self.params.h0
-            )
-            self._gated_send(ctx)
-            self._arm_send_alarm(ctx, hardware_now)
-        elif forced_send:
-            self._next_mark = (
-                math.floor(lmax_now / self.params.h0) * self.params.h0 + self.params.h0
-            )
-            self._gated_send(ctx)
-            self._arm_send_alarm(ctx, hardware_now)
-
-        if their_logical > self._raw_received.get(sender, -math.inf):
-            self._raw_received[sender] = their_logical
-            self._estimates[sender] = (their_logical, hardware_now)
-            if self.record_estimates:
-                ctx.probe("estimate", (sender, their_logical))
-        self._set_clock_rate(ctx)
+    def _adopt(self, ctx: NodeContext, their_lmax: float, hardware_now: float) -> None:
+        # A deferred send announced the L^max of its fire time, which need
+        # not be a multiple of H0: floor the mark to the enclosing one.
+        h0 = self.params.h0
+        self._lmax_value = their_lmax
+        self._lmax_anchor = hardware_now
+        self._next_mark = math.floor(their_lmax / h0 + 1e-9) * h0 + h0
+        self._send(ctx, hardware_now)
+        self._arm_send_alarm(ctx, hardware_now)
 
     def on_alarm(self, ctx: NodeContext, name: str) -> None:
-        if name == INIT_ALARM:
-            if self._needs_init_send:
-                self._needs_init_send = False
-                self._next_mark = self.params.h0
-                self._gated_send(ctx)
-                self._arm_send_alarm(ctx, ctx.hardware())
-        elif name == SEND_ALARM:
-            hardware_now = ctx.hardware()
-            self._lmax_value = self._next_mark
-            self._lmax_anchor = hardware_now
-            self._next_mark += self.params.h0
-            self._gated_send(ctx)
-            self._arm_send_alarm(ctx, hardware_now)
-        elif name == GAP_SEND_ALARM:
+        if name == GAP_SEND_ALARM:
             if self._pending_send:
                 self._pending_send = False
                 hardware_now = ctx.hardware()
                 self._last_send_hw = hardware_now
-                ctx.send_all((ctx.logical(), self.l_max(hardware_now)))
-        elif name == RATE_RESET_ALARM:
-            ctx.set_rate_multiplier(1.0)
+                super()._send(ctx, hardware_now)
+        else:
+            super().on_alarm(ctx, name)
 
 
 class MinGapAoptAlgorithm(Algorithm):

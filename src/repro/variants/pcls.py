@@ -46,7 +46,7 @@ class PclsNode(AoptNode):
             # The PCLS discipline: refresh the rate decision on the
             # periodic send tick too, so it is re-derived from current
             # estimates at least once per H0 even without any receipt.
-            self._set_clock_rate(ctx)
+            self._set_clock_rate(ctx, ctx.hardware())
 
 
 class PclsAlgorithm(AoptAlgorithm):

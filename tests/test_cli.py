@@ -217,8 +217,52 @@ class TestFaultsFlagValidation:
              "duplicate", "mean-downtime"],
     )
     def test_bad_fault_flags_exit_2(self, flags, message, capsys):
-        assert main(["faults", "--nodes", "6", "--no-cache"] + flags) == 2
+        assert main(["faults", "--nodes", "6"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro faults: ")
         assert message in err
         assert "Traceback" not in err
+
+
+class TestFaultsCommand:
+    ARGV = ["faults", "--nodes", "6", "--scenario", "crashes", "--horizon", "60"]
+
+    def test_runs_the_engine_once(self, monkeypatch, tmp_path, capsys):
+        from repro.sim.engine import SimulationEngine
+
+        # A cold, private result cache: a run routed through the cache
+        # could neither hide behind a warm entry nor touch the user's.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = []
+        run_loop = SimulationEngine._run_loop
+
+        def counting(engine):
+            runs.append(engine)
+            return run_loop(engine)
+
+        monkeypatch.setattr(SimulationEngine, "_run_loop", counting)
+        assert main(self.ARGV) in (0, 1)
+        assert len(runs) == 1
+
+    def test_metrics_json_prints_engine_counters(self, capsys):
+        import json
+
+        main(self.ARGV + ["--metrics", "json"])
+        out = capsys.readouterr().out
+        counters = json.loads(out[out.index("\n{") + 1:])
+        assert counters["events_processed"] > 0
+        assert counters["sends"] > 0
+        # Counters only: wall-clock phases would make reruns differ.
+        assert counters["phase_seconds"] == {}
+
+    def test_metrics_table_prints_engine_counters(self, capsys):
+        main(self.ARGV + ["--metrics", "table"])
+        out = capsys.readouterr().out
+        assert "engine counters" in out
+        assert "events_processed" in out
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--no-cache"]])
+    def test_executor_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + flag)
+        assert exc.value.code == 2

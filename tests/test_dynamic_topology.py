@@ -423,7 +423,6 @@ class TestCliSurfaces:
             "faults", "--topology", "line", "--nodes", "6",
             "--scenario", "partition", "--horizon", "40",
             "--fault-start", "10", "--fault-duration", "29",
-            "--workers", "1", "--no-cache",
         ])
         out = capsys.readouterr().out
         assert code == 1
