@@ -87,6 +87,7 @@ from repro.core.bounds import (
 )
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
+from repro.errors import ConfigurationError
 from repro.sim.monitors import TOLERANCE
 from repro.topology import generators
 from repro.topology.properties import diameter as graph_diameter
@@ -704,8 +705,6 @@ def _fault_scenario(args, topology, params, horizon):
 def _check_fault_flags(args) -> None:
     """Raise :class:`~repro.errors.ConfigurationError` on a fault flag
     outside its domain, whichever scenario runs."""
-    from repro.errors import ConfigurationError
-
     for flag, value, positive in (
         ("--horizon", args.horizon, True),
         ("--fault-start", args.fault_start, False),
@@ -1537,7 +1536,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        # A flag value the model rejects is a usage error, as in `faults`.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

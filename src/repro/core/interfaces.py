@@ -45,11 +45,20 @@ class NodeContext(abc.ABC):
 
     @abc.abstractmethod
     def hardware(self) -> float:
-        """Current hardware clock value ``H_v``."""
+        """The hardware clock reading ``H_v`` at the current event.
+
+        The engine reads the clock once before each callback; every call
+        within the callback returns that reading.
+        """
 
     @abc.abstractmethod
     def logical(self) -> float:
-        """Current logical clock value ``L_v``."""
+        """The logical clock reading ``L_v`` at the current event.
+
+        Read once before each callback, like :meth:`hardware`; a rate
+        change leaves it exact (the clock is continuous) and
+        :meth:`jump_logical` updates it to the jumped-to value.
+        """
 
     @abc.abstractmethod
     def set_rate_multiplier(self, rho: float) -> None:

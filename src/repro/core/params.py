@@ -98,10 +98,21 @@ class SyncParams:
         """
         epsilon_hat = epsilon if epsilon_hat is None else epsilon_hat
         delay_bound_hat = delay_bound if delay_bound_hat is None else delay_bound_hat
+        # The derivations below divide by 1 − ε̂ and by μ: validate both
+        # first, so a degenerate ε̂ is a ConfigurationError, not a
+        # ZeroDivisionError.
+        if not (0 < epsilon < 1):
+            raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
+        if not (0 < epsilon_hat < 1):
+            raise ConfigurationError(
+                f"epsilon_hat must be in (0, 1), got {epsilon_hat}"
+            )
         if sigma_target < 2:
             raise ConfigurationError(f"sigma_target must be >= 2, got {sigma_target}")
         if mu is None:
             mu = 7 * sigma_target * epsilon_hat / (1 - epsilon_hat)
+        elif mu <= 0:
+            raise ConfigurationError(f"mu must be positive, got {mu}")
         if h0 is None:
             if delay_bound_hat <= 0:
                 raise ConfigurationError(

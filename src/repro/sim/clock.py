@@ -31,7 +31,10 @@ class HardwareClock:
         is defined as 0 before then and integrates the rate afterwards.
     """
 
-    __slots__ = ("_rate", "_start_time", "_start_integral", "_memo_t", "_memo_v")
+    __slots__ = (
+        "_rate", "_start_time", "_start_segment", "_start_integral",
+        "_memo_t", "_memo_v",
+    )
 
     def __init__(self, rate: PiecewiseConstantRate, start_time: float = 0.0):
         if start_time < rate.domain_start:
@@ -44,7 +47,9 @@ class HardwareClock:
         # construction: value(t) subtracts it from ∫-from-domain-start(t),
         # the identical float expression rate.integral(start, t) expands
         # to, without re-deriving the start integral on every query.
+        # time_at_value inverts from the same integral and its segment.
         self._start_integral = rate.integral_from_start(self._start_time)
+        self._start_segment = rate._segment_index(self._start_time)
         # Single-entry memo: engine callbacks evaluate the same clock at
         # the same event time several times per event.  The clock is
         # immutable, so a hit returns the identical float.
@@ -90,7 +95,11 @@ class HardwareClock:
         """
         if value < 0:
             raise TraceError(f"hardware clock never reads negative value {value}")
-        return self._rate.advance(self._start_time, value)
+        if value == 0:
+            return self._start_time
+        return self._rate.advance_from(
+            self._start_time, self._start_segment, self._start_integral, value
+        )
 
     def elapsed(self, t0: float, t1: float) -> float:
         """Hardware time elapsed between real times ``t0 ≤ t1``."""

@@ -207,7 +207,10 @@ class _NodeRuntime:
 class _EngineContext(NodeContext):
     """The capability object handed to algorithm callbacks.
 
-    Bound to one node; the engine updates ``now`` before each callback.
+    Bound to one node.  Before each callback the engine reads the node's
+    clocks once, at the event time (:meth:`_read_clocks`); ``hardware()``
+    and ``logical()`` return those readings, which ``set_rate_multiplier``
+    leaves exact (the clock is continuous) and ``jump_logical`` refreshes.
     Exposes only model-legal operations — notably *not* real time.
     """
 
@@ -216,12 +219,20 @@ class _EngineContext(NodeContext):
         self._runtime = runtime
         self.node_id = runtime.node_id
         self.neighbors = runtime.neighbors
+        self._hardware_now = 0.0
+        self._logical_now = 0.0
+
+    def _read_clocks(self, now: float) -> None:
+        """Take this callback's readings ``H_v(now)`` and ``L_v(now)``."""
+        runtime = self._runtime
+        self._hardware_now = runtime.hardware.value(now)
+        self._logical_now = runtime.record.value(now)
 
     def hardware(self) -> float:
-        return self._runtime.hardware.value(self._engine.now)
+        return self._hardware_now
 
     def logical(self) -> float:
-        return self._runtime.record.value(self._engine.now)
+        return self._logical_now
 
     def rate_multiplier(self) -> float:
         return self._runtime.rho
@@ -232,7 +243,9 @@ class _EngineContext(NodeContext):
         runtime = self._runtime
         if rho != runtime.rho:
             engine = self._engine
-            runtime.record.checkpoint(engine.now, rho)
+            runtime.record.append(
+                engine.now, self._logical_now, rho, self._hardware_now
+            )
             runtime.rho = rho
             if engine._tracker is not None:
                 engine._tracker.note_checkpoint(runtime.idx, engine.now)
@@ -250,20 +263,25 @@ class _EngineContext(NodeContext):
                     "jump",
                     engine.now,
                     self.node_id,
-                    {"value_from": self._runtime.record.value(engine.now),
-                     "value_to": value},
+                    {"value_from": self._logical_now, "value_to": value},
                 )
             )
-        self._runtime.record.jump(engine.now, value)
+        record = self._runtime.record
+        record.jump(engine.now, value)
+        self._logical_now = record.value(engine.now)
         if engine._tracker is not None:
             engine._tracker.note_checkpoint(self._runtime.idx, engine.now)
 
     def send_to(self, neighbor: NodeId, payload: Any) -> None:
-        self._engine._send(self._runtime, neighbor, payload)
+        runtime = self._runtime
+        if neighbor not in runtime.neighbors:
+            raise SimulationError(
+                f"node {runtime.node_id!r} attempted to send to non-neighbor {neighbor!r}"
+            )
+        self._engine._send(runtime, (neighbor,), payload)
 
     def send_all(self, payload: Any) -> None:
-        for neighbor in self.neighbors:
-            self._engine._send(self._runtime, neighbor, payload)
+        self._engine._send(self._runtime, self.neighbors, payload)
 
     def set_alarm(self, name: str, hardware_value: float) -> None:
         self._engine._set_alarm(self._runtime, name, hardware_value)
@@ -484,95 +502,100 @@ class SimulationEngine:
         runtime.started = True
         if self._tracker is not None:
             self._tracker.note_start(runtime.idx, runtime.record, runtime.hardware)
-        runtime.algorithm_node.on_start(self._contexts[runtime.node_id])
+        context = self._contexts[runtime.node_id]
+        context._read_clocks(self.now)
+        runtime.algorithm_node.on_start(context)
 
-    def _send(self, runtime: _NodeRuntime, neighbor: NodeId, payload: Any) -> None:
-        if neighbor not in runtime.neighbors:
-            raise SimulationError(
-                f"node {runtime.node_id!r} attempted to send to non-neighbor {neighbor!r}"
-            )
-        seq = runtime.edge_seq.get(neighbor, 0)
-        runtime.edge_seq[neighbor] = seq + 1
+    def _send(
+        self, runtime: _NodeRuntime, neighbors: Sequence[NodeId], payload: Any
+    ) -> None:
+        """Send ``payload`` to each of ``neighbors`` in turn (a broadcast
+        or one ``send_to``): the payload's bits and the sent counters are
+        charged once, then each neighbor's message takes its edge seq,
+        edge-absent, link-down, delay, fate and Byzantine steps in that
+        order."""
+        sender = runtime.node_id
+        now = self.now
         bits = self.algorithm.payload_bits(payload)
-        self._messages_sent[runtime.node_id] += 1
-        self._bits_sent[runtime.node_id] += bits
+        self._messages_sent[sender] += len(neighbors)
+        self._bits_sent[sender] += bits * len(neighbors)
         if self._metrics is not None:
-            self._metrics.sends += 1
+            self._metrics.sends += len(neighbors)
         log = self._event_log
         dynamic = self._dynamic
-        if dynamic is not None and dynamic.is_edge_absent(
-            runtime.node_id, neighbor, self.now
-        ):
-            self._messages_lost_link += 1
-            if log is not None:
-                log.append(("drop", self.now, runtime.node_id,
-                            {"to": neighbor, "seq": seq, "reason": "edge-absent"}))
-            return
         injector = self._injector
-        if injector is not None and injector.is_link_down(
-            runtime.node_id, neighbor, self.now
-        ):
-            self._messages_lost_link += 1
-            if log is not None:
-                log.append(("drop", self.now, runtime.node_id,
-                            {"to": neighbor, "seq": seq, "reason": "link-down"}))
-            return
-        delay = self.delay_model.validated_delay(
-            runtime.node_id, neighbor, self.now, seq
-        )
-        if delay == DROP:
-            self._messages_dropped += 1
-            if log is not None:
-                log.append(("drop", self.now, runtime.node_id,
-                            {"to": neighbor, "seq": seq, "reason": "delay-model"}))
-            return
-        copies = 1
-        if injector is not None:
-            fate = injector.message_fate(runtime.node_id, neighbor, self.now, seq)
-            if fate.drop:
+        edge_seq = runtime.edge_seq
+        heap = self._heap
+        for neighbor in neighbors:
+            seq = edge_seq.get(neighbor, 0)
+            edge_seq[neighbor] = seq + 1
+            if dynamic is not None and dynamic.is_edge_absent(sender, neighbor, now):
+                self._messages_lost_link += 1
+                if log is not None:
+                    log.append(("drop", now, sender,
+                                {"to": neighbor, "seq": seq, "reason": "edge-absent"}))
+                continue
+            if injector is not None and injector.is_link_down(sender, neighbor, now):
+                self._messages_lost_link += 1
+                if log is not None:
+                    log.append(("drop", now, sender,
+                                {"to": neighbor, "seq": seq, "reason": "link-down"}))
+                continue
+            delay = self.delay_model.validated_delay(sender, neighbor, now, seq)
+            if delay == DROP:
                 self._messages_dropped += 1
                 if log is not None:
-                    log.append(("drop", self.now, runtime.node_id,
-                                {"to": neighbor, "seq": seq, "reason": "fault"}))
-                return
-            # A delay spike is applied after validation: exceeding T is the
-            # point — it violates the paper's timing assumption on purpose.
-            delay += fate.extra_delay
-            if fate.duplicate:
-                copies = 2
-                self._messages_duplicated += 1
-        if injector is not None and injector.is_byzantine(runtime.node_id, self.now):
-            corrupted = injector.corrupt_payload(
-                runtime.node_id, neighbor, self.now, seq, payload
-            )
-            if corrupted is not None:
-                payload, reason = corrupted
-                if log is not None:
-                    log.append(("corrupt", self.now, runtime.node_id,
-                                {"to": neighbor, "seq": seq, "reason": reason}))
-        if log is not None:
-            log.append(("send", self.now, runtime.node_id,
-                        {"to": neighbor, "seq": seq, "delay": delay,
-                         "bits": bits, "copies": copies}))
-        if self.record_messages:
-            self._message_log.append(
-                MessageRecord(runtime.node_id, neighbor, self.now, delay, payload, bits)
-            )
-        deliver_time = self.now + delay
-        if deliver_time < self.now:
-            raise SimulationError(
-                f"event at time {deliver_time} scheduled in the past "
-                f"(current time {self.now})"
-            )
-        heap = self._heap
-        for _ in range(copies):
-            entry_seq = self._seq
-            self._seq = entry_seq + 1
-            heappush(
-                heap,
-                (deliver_time, entry_seq, _DELIVERY, neighbor,
-                 runtime.node_id, payload, self.now, bits),
-            )
+                    log.append(("drop", now, sender,
+                                {"to": neighbor, "seq": seq, "reason": "delay-model"}))
+                continue
+            copies = 1
+            sent = payload
+            if injector is not None:
+                fate = injector.message_fate(sender, neighbor, now, seq)
+                if fate.drop:
+                    self._messages_dropped += 1
+                    if log is not None:
+                        log.append(("drop", now, sender,
+                                    {"to": neighbor, "seq": seq, "reason": "fault"}))
+                    continue
+                # A delay spike is applied after validation: exceeding T is
+                # the point — it violates the paper's timing assumption on
+                # purpose.
+                delay += fate.extra_delay
+                if fate.duplicate:
+                    copies = 2
+                    self._messages_duplicated += 1
+                if injector.is_byzantine(sender, now):
+                    corrupted = injector.corrupt_payload(
+                        sender, neighbor, now, seq, payload
+                    )
+                    if corrupted is not None:
+                        sent, reason = corrupted
+                        if log is not None:
+                            log.append(("corrupt", now, sender,
+                                        {"to": neighbor, "seq": seq, "reason": reason}))
+            if log is not None:
+                log.append(("send", now, sender,
+                            {"to": neighbor, "seq": seq, "delay": delay,
+                             "bits": bits, "copies": copies}))
+            if self.record_messages:
+                self._message_log.append(
+                    MessageRecord(sender, neighbor, now, delay, sent, bits)
+                )
+            deliver_time = now + delay
+            if deliver_time < now:
+                raise SimulationError(
+                    f"event at time {deliver_time} scheduled in the past "
+                    f"(current time {now})"
+                )
+            for _ in range(copies):
+                entry_seq = self._seq
+                self._seq = entry_seq + 1
+                heappush(
+                    heap,
+                    (deliver_time, entry_seq, _DELIVERY, neighbor,
+                     sender, sent, now, bits),
+                )
 
     def _set_alarm(self, runtime: _NodeRuntime, name: str, hardware_value: float) -> None:
         if runtime.hardware is None:
@@ -616,7 +639,9 @@ class SimulationEngine:
         if kind == _CRASH or kind == _LEAVE:
             self._freeze_rate(runtime)
         elif runtime.started and not (runtime.crashed or runtime.absent):
-            runtime.algorithm_node.on_recover(self._contexts[runtime.node_id])
+            context = self._contexts[runtime.node_id]
+            context._read_clocks(self.now)
+            runtime.algorithm_node.on_recover(context)
 
     def _resume_time(self, node: NodeId) -> Optional[float]:
         """When the node is next both recovered and present, or None.
@@ -723,7 +748,12 @@ class SimulationEngine:
                                  "bits": entry[7]}))
                 if not runtime.started:
                     self._start_node(runtime)
-                runtime.algorithm_node.on_message(contexts[node], sender, entry[5])
+                # The callback's readings (_read_clocks, inlined: this and
+                # the alarm below are the hot callbacks).
+                context = contexts[node]
+                context._hardware_now = runtime.hardware.value(now)
+                context._logical_now = runtime.record.value(now)
+                runtime.algorithm_node.on_message(context, sender, entry[5])
             elif kind == _ALARM:
                 name = entry[4]
                 if runtime.alarm_generations.get(name, 0) != entry[5]:
@@ -735,7 +765,10 @@ class SimulationEngine:
                         raise SimulationError(f"alarm at unstarted node {node!r}")
                     if metrics is not None:
                         metrics.alarms_fired += 1
-                    runtime.algorithm_node.on_alarm(contexts[node], name)
+                    context = contexts[node]
+                    context._hardware_now = runtime.hardware.value(now)
+                    context._logical_now = runtime.record.value(now)
+                    runtime.algorithm_node.on_alarm(context, name)
             else:  # _WAKE
                 if not runtime.started:
                     self._start_node(runtime)

@@ -145,11 +145,21 @@ class PiecewiseConstantRate:
             raise ScheduleError(f"cannot advance by a negative amount {amount}")
         if amount == 0:
             return t0
-        target = self.integral_from_start(t0) + amount
+        return self.advance_from(
+            t0, self._segment_index(t0), self.integral_from_start(t0), amount
+        )
+
+    def advance_from(self, t0: float, i: int, base: float, amount: float) -> float:
+        """:meth:`advance` given ``t0``'s segment index ``i`` and ``base =
+        integral_from_start(t0)``, for a positive ``amount``.
+
+        A caller that inverts from one fixed ``t0`` many times (a hardware
+        clock from its start) derives ``i`` and ``base`` once.
+        """
+        target = base + amount
         # Find the segment in which the cumulative integral reaches target:
         # the first j ≥ i with _cumulative[j+1] ≥ target, located by bisect
         # (the cumulative integral is non-decreasing).
-        i = self._segment_index(t0)
         k = bisect_left(self._cumulative, target, i + 1)
         if k < len(self._times):
             j = k - 1

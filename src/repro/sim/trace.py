@@ -21,6 +21,7 @@ limits at jump points.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,6 +64,10 @@ class LogicalClockRecord:
     ``L(t) = L_k + ρ_k · (H(t) − H(t_k))`` on ``[t_k, t_{k+1})``.  A
     checkpoint is appended whenever the rate multiplier ``ρ`` changes or
     the clock jumps discontinuously.
+
+    The four checkpoint columns (``t_k``, ``L_k``, ``ρ_k`` and ``H(t_k)``)
+    are ``array('d')`` buffers: 32 bytes per checkpoint, holding the same
+    IEEE doubles a list of floats would.
     """
 
     __slots__ = (
@@ -79,20 +84,20 @@ class LogicalClockRecord:
     )
 
     #: Minimum number of stale leading checkpoints before :meth:`prune_to`
-    #: performs list surgery, amortizing the O(len) deletions.
+    #: deletes them from the columns, amortizing the O(len) deletions.
     PRUNE_BATCH = 32
 
     def __init__(self, hardware: HardwareClock, initial_multiplier: float = 1.0):
         self._hardware = hardware
         start = hardware.start_time
         self._start: float = start
-        self._times: List[float] = [start]
-        self._values: List[float] = [0.0]
+        self._times = array("d", (start,))
+        self._values = array("d", (0.0,))
         # H(t_k) per checkpoint, cached at append time: value() subtracts
         # it from H(t), the identical float the original formula computed
         # by re-evaluating the hardware clock at the anchor on each query.
-        self._anchor_hws: List[float] = [hardware.value(start)]
-        self._multipliers: List[float] = [float(initial_multiplier)]
+        self._anchor_hws = array("d", (hardware.value(start),))
+        self._multipliers = array("d", (initial_multiplier,))
         self._jump_times: List[float] = []
         self._count: int = 1
         # Single-entry memo for value(); invalidated on every append.
@@ -109,8 +114,7 @@ class LogicalClockRecord:
 
     def checkpoint(self, t: float, multiplier: float) -> None:
         """Record a rate-multiplier change at time ``t`` (continuous)."""
-        value = self.value(t)
-        self._append(t, value, multiplier)
+        self.append(t, self.value(t), multiplier, self._hardware.value(t))
 
     def jump(self, t: float, new_value: float) -> None:
         """Record a discontinuous jump of the clock value at time ``t``."""
@@ -121,9 +125,17 @@ class LogicalClockRecord:
             )
         if new_value != current:
             self._jump_times.append(t)
-        self._append(t, new_value, self._multipliers[-1])
+        self.append(t, new_value, self._multipliers[-1], self._hardware.value(t))
 
-    def _append(self, t: float, value: float, multiplier: float) -> None:
+    def append(
+        self, t: float, value: float, multiplier: float, hardware_value: float
+    ) -> None:
+        """Append the checkpoint ``(t, value, multiplier)``.
+
+        ``value`` is the clock's value from ``t`` on and ``hardware_value``
+        is ``H(t)``: readings the caller already took at ``t`` (the engine
+        reads both once per callback), so the record re-evaluates neither.
+        """
         times = self._times
         if t < times[-1]:
             raise TraceError(
@@ -133,12 +145,12 @@ class LogicalClockRecord:
         if t == times[-1]:
             # Same-instant update replaces the last checkpoint's future.
             self._values[-1] = value
-            self._multipliers[-1] = float(multiplier)
+            self._multipliers[-1] = multiplier
         else:
             times.append(t)
             self._values.append(value)
-            self._anchor_hws.append(self._hardware.value(t))
-            self._multipliers.append(float(multiplier))
+            self._anchor_hws.append(hardware_value)
+            self._multipliers.append(multiplier)
             self._count += 1
 
     # -- evaluation ---------------------------------------------------------
@@ -235,13 +247,20 @@ class LogicalClockRecord:
         breakpoint, not two, so skew evaluation never evaluates the same
         instant twice.
         """
-        if self._times[0] != self._start:
+        return sorted(set(self._breakpoints(a, b)))
+
+    def _breakpoints(self, a: float, b: float) -> array:
+        """:meth:`breakpoints_in` before sorting and merging: the checkpoint
+        times in ``[a, b]``, then the hardware clock's breakpoints in
+        ``(a, b)``, as one ``array('d')`` that may repeat an instant."""
+        times = self._times
+        if times[0] != self._start:
             raise TraceError(
                 "breakpoints_in is unavailable on a pruned clock record"
             )
-        points = set(t for t in self._times if a <= t <= b)
-        points.update(self._hardware.breakpoints_in(a, b))
-        return sorted(points)
+        points = times[bisect_left(times, a) : bisect_right(times, b)]
+        points.extend(self._hardware.breakpoints_in(a, b))
+        return points
 
     def prune_to(self, frontier: float) -> None:
         """Drop checkpoints that can no longer affect queries at ``t ≥ frontier``.
@@ -250,7 +269,7 @@ class LogicalClockRecord:
         (so ``value_left`` at the frontier itself stays answerable), plus
         everything later.  Queries strictly inside the pruned prefix raise
         :class:`TraceError` instead of returning wrong values.  Deletions
-        are batched (:attr:`PRUNE_BATCH`) to amortize the list surgery.
+        are batched (:attr:`PRUNE_BATCH`) to amortize the column surgery.
         """
         times = self._times
         j = bisect_right(times, frontier) - 1
@@ -279,7 +298,7 @@ class _Stack:
 
     Built once per fold over ascending ``points`` (once per
     ``global_skew`` or ``max_pair_skew`` call, once per streaming
-    flush).  Row ``r`` keeps the slices of its record's checkpoint lists
+    flush).  Row ``r`` keeps the slices of its record's checkpoint columns
     (times, values, multipliers, anchors) and of its hardware rate
     segments (times, cumulative integrals, rates) that instants in
     ``[points[0], points[-1]]`` read, found by bisect, at a row offset
@@ -309,10 +328,8 @@ class _Stack:
         "_first", "_cursor", "_before",
     )
 
-    def __init__(
-        self, records: Sequence[Optional[LogicalClockRecord]], points: List[float]
-    ):
-        t0, t1 = points[0], points[-1]
+    def __init__(self, records: Sequence[Optional[LogicalClockRecord]], points):
+        t0, t1 = float(points[0]), float(points[-1])
         inf = float("inf")
         # Per row, the (list owner, lo, hi) slices each flat array holds.
         spans: List[tuple] = []
@@ -456,17 +473,40 @@ class _Stack:
 
 def _flatten(spans, name: str):
     """The padding entry 0.0, then ``getattr(owner, name)[lo:hi]`` of each
-    ``(owner, lo, hi)`` span, as one float64 array."""
-    flat = [0.0]
+    ``(owner, lo, hi)`` span, as one float64 array.
+
+    The slices are copied into one fresh ``array('d')`` that numpy then
+    wraps: a numpy view of a live record buffer would make the record's
+    later ``append`` or ``prune_to`` raise ``BufferError``.
+    """
+    flat = array("d", (0.0,))
     for owner, lo, hi in spans:
-        flat += getattr(owner, name)[lo:hi]
-    return _np.array(flat)
+        flat.extend(getattr(owner, name)[lo:hi])
+    return _np.frombuffer(flat)
+
+
+def _merged_points(records: Sequence[LogicalClockRecord], t0: float, t1: float):
+    """``t0``, ``t1`` and every record's breakpoints in ``[t0, t1]``: the
+    sorted, unique evaluation instants of an exact fold over ``records``.
+
+    With numpy, one ``unique`` over the records' breakpoint buffers, kept
+    as a float64 array (8 bytes an instant) that :func:`_fold_points`
+    turns into Python floats one window at a time; without numpy, a
+    sorted list from a set.  Both hold the same ascending doubles.
+    """
+    points = array("d", (t0, t1))
+    for record in records:
+        points.extend(record._breakpoints(t0, t1))
+    if _np is None:
+        return sorted(set(points))
+    return _np.unique(_np.frombuffer(points))
 
 
 def _stack(
-    records: Sequence[Optional[LogicalClockRecord]], points: List[float]
+    records: Sequence[Optional[LogicalClockRecord]], points
 ) -> Optional[_Stack]:
-    """The stacked kernel for one fold over ascending ``points``.
+    """The stacked kernel for one fold over ascending ``points`` (a list
+    or, from :func:`_merged_points`, a float64 array).
 
     ``None`` (the fold evaluates per instant, in pure Python) without
     numpy or below :data:`VECTOR_MIN_INSTANTS` instants.
@@ -582,25 +622,29 @@ def _fold_window(
 
 
 def _fold_points(
-    records: Sequence[LogicalClockRecord], points: List[float]
-) -> Tuple[float, int, int, int]:
-    """``(spread, k, hi, lo)`` of :func:`_fold_window` over all ``points``.
+    records: Sequence[LogicalClockRecord], points
+) -> Tuple[float, float, int, int]:
+    """``(spread, t, hi, lo)`` of :func:`_fold_window` over all ``points``
+    (from :func:`_merged_points`), with ``t`` the arg-max instant.
 
     Folds in windows of ``max(1, FLUSH_CELLS // len(records))`` instants,
     the streaming flush's budget, through one :class:`_Stack` built for
     the whole fold, so the evaluation holds O(window) cells however long
     the trace.  A later window replaces the best only if strictly
-    larger, so the first arg-max wins exactly as in one window.
+    larger, so the first arg-max wins exactly as in one window.  Each
+    window is a list of Python floats, so no numpy scalar reaches a
+    result.
     """
     width = max(1, FLUSH_CELLS // max(len(records), 1))
     stack = _stack(records, points)
-    best = (-1.0, 0, 0, 0)
+    best = (-1.0, 0.0, 0, 0)
     for first in range(0, len(points), width):
-        spread, k, hi, lo, _ = _fold_window(
-            records, points[first : first + width], stack
-        )
+        ts = points[first : first + width]
+        if _np is not None:
+            ts = ts.tolist()
+        spread, k, hi, lo, _ = _fold_window(records, ts, stack)
         if spread > best[0]:
-            best = (spread, first + k, hi, lo)
+            best = (spread, ts[k], hi, lo)
     return best
 
 
@@ -688,13 +732,6 @@ class ExecutionTrace:
 
     # -- exact extrema -------------------------------------------------------
 
-    def _pair_eval_points(self, a: NodeId, b: NodeId, t0: float, t1: float) -> List[float]:
-        points = set(self.logical[a].breakpoints_in(t0, t1))
-        points.update(self.logical[b].breakpoints_in(t0, t1))
-        points.add(t0)
-        points.add(t1)
-        return sorted(points)
-
     def max_pair_skew(
         self, a: NodeId, b: NodeId, t0: Optional[float] = None, t1: Optional[float] = None
     ) -> SkewExtremum:
@@ -706,9 +743,9 @@ class ExecutionTrace:
         """
         t0 = 0.0 if t0 is None else t0
         t1 = self.horizon if t1 is None else t1
-        points = self._pair_eval_points(a, b, t0, t1)
-        value, k, _, _ = _fold_points((self.logical[a], self.logical[b]), points)
-        return SkewExtremum(value, points[k], a, b)
+        records = (self.logical[a], self.logical[b])
+        value, t, _, _ = _fold_points(records, _merged_points(records, t0, t1))
+        return SkewExtremum(value, t, a, b)
 
     def global_skew(
         self, t0: Optional[float] = None, t1: Optional[float] = None
@@ -720,13 +757,10 @@ class ExecutionTrace:
         """
         t0 = 0.0 if t0 is None else t0
         t1 = self.horizon if t1 is None else t1
-        points = {t0, t1}
-        for rec in self.logical.values():
-            points.update(rec.breakpoints_in(t0, t1))
-        eval_points = sorted(points)
         nodes = list(self.logical)
-        value, k, hi, lo = _fold_points(list(self.logical.values()), eval_points)
-        return SkewExtremum(value, eval_points[k], nodes[hi], nodes[lo])
+        records = list(self.logical.values())
+        value, t, hi, lo = _fold_points(records, _merged_points(records, t0, t1))
+        return SkewExtremum(value, t, nodes[hi], nodes[lo])
 
     def local_skew(
         self, t0: Optional[float] = None, t1: Optional[float] = None

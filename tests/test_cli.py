@@ -50,6 +50,16 @@ class TestSimulateCommand:
                  "--adversary", "nope"]
             )
 
+    @pytest.mark.parametrize("epsilon", ["0", "1", "-0.1"])
+    def test_degenerate_epsilon_exits_2(self, epsilon, capsys):
+        # 1 − ε̂ and μ are divisors in SyncParams.recommended: a degenerate
+        # ε is a usage error, reported once by main, never a traceback.
+        assert main(["simulate", "--epsilon", epsilon]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro simulate: ")
+        assert "epsilon must be in (0, 1)" in err
+        assert "Traceback" not in err
+
     def test_baseline_runs_without_bound_check(self, capsys):
         exit_code = main(
             [

@@ -75,6 +75,17 @@ class TestRecommended:
         with pytest.raises(ConfigurationError):
             SyncParams.recommended(epsilon=0.1, delay_bound=1.0, mu=0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"epsilon": 0.0}, {"epsilon": 1.0}, {"epsilon": -0.1},
+         {"epsilon": 0.05, "epsilon_hat": 1.0}, {"epsilon": 0.05, "mu": 0.0}],
+        ids=["zero", "one", "negative", "hat-one", "zero-mu"],
+    )
+    def test_degenerate_inputs_rejected_before_deriving(self, kwargs):
+        # μ = 7σε̂/(1 − ε̂) and H0 = T̂/μ would divide by zero first.
+        with pytest.raises(ConfigurationError):
+            SyncParams.recommended(delay_bound=1.0, **kwargs)
+
 
 class TestDerived:
     def test_h_bar(self, params):

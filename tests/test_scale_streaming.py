@@ -10,7 +10,7 @@ frontier advances.
 Trace mode's skew evaluation is bounded too: it folds in windows of
 ``FLUSH_CELLS`` cells, so ``summarize_trace`` on a ``line(64)``,
 horizon-600 trace allocates a few MiB, not two nodes × instants float
-matrices.
+matrices.  The trace itself stores 32 bytes a checkpoint.
 
 The 100k-node test is ``slow``-marked (tier-1 excludes it; CI opts in
 with ``-m slow``).  Its thresholds are deliberately loose — an
@@ -94,14 +94,36 @@ class TestTraceFoldMemory:
 
     PEAK_CEILING_BYTES = 8 * 1024 * 1024
 
-    def test_line64_summary_peak_is_bounded(self):
+    #: The trace's records hold four float64 columns, 32 bytes a
+    #: checkpoint: this trace (about 28,000 checkpoints) takes about
+    #: 1.1 MiB, where lists of Python floats took 3.4 MiB.
+    TRACE_CEILING_BYTES = 1536 * 1024
+
+    @staticmethod
+    def _line64_spec() -> ExecutionSpec:
         n = 64
         drift, delay = _models(n)
-        spec = ExecutionSpec(
+        return ExecutionSpec(
             topology=line(n), algorithm=AoptAlgorithm(PARAMS), drift=drift,
             delay=delay, horizon=600.0, params=PARAMS,
         )
-        trace, _ = spec.run()
+
+    def test_line64_trace_size_is_bounded(self):
+        spec = self._line64_spec()
+        tracemalloc.start()
+        try:
+            trace, _ = spec.run()
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(r.checkpoint_count for r in trace.logical.values()) > 20_000
+        assert size <= self.TRACE_CEILING_BYTES, (
+            f"the trace holds {size / 2**20:.2f} MiB after spec.run() "
+            f"(ceiling {self.TRACE_CEILING_BYTES / 2**20:.1f} MiB)"
+        )
+
+    def test_line64_summary_peak_is_bounded(self):
+        trace, _ = self._line64_spec().run()
         tracemalloc.start()
         try:
             summarize_trace(trace)
