@@ -6,26 +6,36 @@ act on (and communicate) clock readings quantized to multiples of
 replaces ``T`` by ``max(1/f, T)`` in the bounds — negligible whenever
 ``1/f < T``.
 
-Implementation: a context proxy rounds every alarm target *up* to the
-next tick (actions only happen on ticks) and every transmitted clock
-value *down* to a tick (readings are quantized), while the node's
-internal bookkeeping stays exact.  ``κ`` must absorb the extra
+Implementation: the node overrides the three A^opt methods that reach
+the network or the alarm clock.  ``_arm_send_alarm`` and ``_boost``
+round their alarm targets *up* to the next tick (actions only happen on
+ticks), and ``_send`` rounds both transmitted clock values *down* to a
+tick (readings are quantized), while the node's internal bookkeeping
+stays exact.  A^opt's only other alarm, the initialization send at
+hardware time 0, is already on a tick.  ``κ`` must absorb the extra
 uncertainty; :func:`discrete_params` sizes it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro.core.interfaces import NodeContext
-from repro.core.node import AoptAlgorithm, AoptNode
+from repro.core.node import RATE_RESET_ALARM, SEND_ALARM, AoptAlgorithm, AoptNode
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
 
 __all__ = ["DiscreteAoptAlgorithm", "discrete_params"]
 
 NodeId = Hashable
+
+
+def _check_frequency(frequency: float) -> None:
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ConfigurationError(
+            f"frequency must be finite and positive, got {frequency}"
+        )
 
 
 def discrete_params(epsilon: float, delay_bound: float, frequency: float, **overrides) -> SyncParams:
@@ -40,8 +50,7 @@ def discrete_params(epsilon: float, delay_bound: float, frequency: float, **over
     ``L^max`` marks fall below receivers' local estimates and stall the
     estimate flood entirely.
     """
-    if frequency <= 0:
-        raise ConfigurationError(f"frequency must be positive, got {frequency}")
+    _check_frequency(frequency)
     params = SyncParams.recommended(epsilon=epsilon, delay_bound=delay_bound, **overrides)
     tick = 1.0 / frequency
     aligned_h0 = math.ceil(params.h0 / tick - 1e-9) * tick
@@ -53,14 +62,12 @@ def discrete_params(epsilon: float, delay_bound: float, frequency: float, **over
     return params.with_overrides(kappa=params.kappa + extra)
 
 
-class _TickContext(NodeContext):
-    """Proxy quantizing alarms up and outgoing values down to ticks."""
+class _DiscreteNode(AoptNode):
+    """A^opt acting on ticks: alarms round up, sent values round down."""
 
-    def __init__(self, inner: NodeContext, tick: float):
-        self._inner = inner
+    def __init__(self, node_id, neighbors, params: SyncParams, tick: float):
+        super().__init__(node_id, neighbors, params)
         self._tick = tick
-        self.node_id = inner.node_id
-        self.neighbors = inner.neighbors
 
     def _floor_tick(self, value: float) -> float:
         return math.floor(value / self._tick + 1e-9) * self._tick
@@ -68,60 +75,18 @@ class _TickContext(NodeContext):
     def _ceil_tick(self, value: float) -> float:
         return math.ceil(value / self._tick - 1e-9) * self._tick
 
-    def hardware(self) -> float:
-        return self._inner.hardware()
+    def _send(self, ctx: NodeContext, hardware_now: float) -> None:
+        floor = self._floor_tick
+        ctx.send_all((floor(ctx.logical()), floor(self.l_max(hardware_now))))
 
-    def logical(self) -> float:
-        return self._inner.logical()
+    def _arm_send_alarm(self, ctx: NodeContext, hardware_now: float) -> None:
+        gap = self._next_mark - self.l_max(hardware_now)
+        ctx.set_alarm(SEND_ALARM, self._ceil_tick(hardware_now + gap))
 
-    def set_rate_multiplier(self, rho: float) -> None:
-        self._inner.set_rate_multiplier(rho)
-
-    def rate_multiplier(self) -> float:
-        return self._inner.rate_multiplier()
-
-    def jump_logical(self, value: float) -> None:
-        self._inner.jump_logical(value)
-
-    def _quantize_payload(self, payload: Any) -> Any:
-        if isinstance(payload, tuple):
-            return tuple(
-                self._floor_tick(v) if isinstance(v, float) else v for v in payload
-            )
-        return payload
-
-    def send_to(self, neighbor: NodeId, payload: Any) -> None:
-        self._inner.send_to(neighbor, self._quantize_payload(payload))
-
-    def send_all(self, payload: Any) -> None:
-        self._inner.send_all(self._quantize_payload(payload))
-
-    def set_alarm(self, name: str, hardware_value: float) -> None:
-        self._inner.set_alarm(name, self._ceil_tick(hardware_value))
-
-    def cancel_alarm(self, name: str) -> None:
-        self._inner.cancel_alarm(name)
-
-    def probe(self, name: str, value: Any) -> None:
-        self._inner.probe(name, value)
-
-
-class _DiscreteNode(AoptNode):
-    def __init__(self, node_id, neighbors, params: SyncParams, tick: float):
-        super().__init__(node_id, neighbors, params)
-        self._tick = tick
-
-    def _wrap(self, ctx: NodeContext) -> _TickContext:
-        return _TickContext(ctx, self._tick)
-
-    def on_start(self, ctx: NodeContext) -> None:
-        super().on_start(self._wrap(ctx))
-
-    def on_message(self, ctx: NodeContext, sender, payload) -> None:
-        super().on_message(self._wrap(ctx), sender, payload)
-
-    def on_alarm(self, ctx: NodeContext, name: str) -> None:
-        super().on_alarm(self._wrap(ctx), name)
+    def _boost(self, ctx, hardware_now, increase, headroom) -> None:
+        ctx.set_rate_multiplier(1 + self.params.mu)
+        reset_at = hardware_now + increase / self.params.mu
+        ctx.set_alarm(RATE_RESET_ALARM, self._ceil_tick(reset_at))
 
 
 class DiscreteAoptAlgorithm(AoptAlgorithm):
@@ -134,8 +99,7 @@ class DiscreteAoptAlgorithm(AoptAlgorithm):
 
     def __init__(self, params: SyncParams, frequency: float):
         super().__init__(params)
-        if frequency <= 0:
-            raise ConfigurationError(f"frequency must be positive, got {frequency}")
+        _check_frequency(frequency)
         self.frequency = float(frequency)
         self.name = "aopt-discrete"
 

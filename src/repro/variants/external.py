@@ -12,27 +12,29 @@ Damping makes every logical rate at most 1 whenever the node holds the
 largest clock value, which pins ``L_v(t) ≤ t``; fresh estimates from the
 source keep pulling clocks up at rate ``1 + μ``.
 
-Implementation notes: the damped ``L^max`` means the headroom
-``L^max − L`` closes at hardware rate ``1 + μ − 1/(1 + ε̂)`` during a
-boost (not ``μ``), and a node at ``ρ = 1`` *catches up to* ``L^max``
-(which now grows slower than ``L``), at which point it must drop to the
-damped rate ``1/(1 + ε̂)`` — handled by a ``catch-lmax`` alarm.
+Implementation: a follower is §8.6's damped-``L^max`` node
+(:class:`repro.variants.envelope._DampedLmaxNode`) with its factor fixed
+at ``1/(1 + ε̂)``.  So the headroom ``L^max − L`` closes at hardware rate
+``1 + μ − 1/(1 + ε̂)`` during a boost (not ``μ``), and a node at
+``ρ = 1`` *catches up to* ``L^max`` (which now grows slower than ``L``),
+at which point it drops to the damped rate ``1/(1 + ε̂)`` — handled by a
+``catch-lmax`` alarm.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Sequence
+import math
+from typing import Any, Hashable, Optional, Sequence
 
 from repro.core.interfaces import Algorithm, AlgorithmNode, NodeContext
-from repro.core.node import RATE_RESET_ALARM, SEND_ALARM, AoptNode
 from repro.core.params import SyncParams
 from repro.errors import ConfigurationError
+from repro.variants.envelope import _DampedLmaxNode
 
 __all__ = ["ExternalAoptAlgorithm"]
 
 NodeId = Hashable
 
-CATCH_LMAX_ALARM = "catch-lmax"
 SOURCE_SEND_ALARM = "source-send"
 
 
@@ -59,57 +61,12 @@ class _SourceNode(AlgorithmNode):
         pass
 
 
-class _ExternalNode(AoptNode):
+class _ExternalNode(_DampedLmaxNode):
     """A^opt node with damped ``L^max`` growth (rate ``h_v/(1 + ε̂)``)."""
 
     def __init__(self, node_id, neighbors, params: SyncParams):
         super().__init__(node_id, neighbors, params)
-        self._damping = 1.0 / (1 + params.epsilon_hat)
-
-    # L^max = value + damping · (H − anchor).
-    def l_max(self, hardware_now: float) -> float:
-        return self._lmax_value + self._damping * (hardware_now - self._lmax_anchor)
-
-    def _arm_send_alarm(self, ctx: NodeContext, hardware_now: float) -> None:
-        gap = (self._next_mark - self.l_max(hardware_now)) / self._damping
-        ctx.set_alarm(SEND_ALARM, hardware_now + gap)
-
-    def _boost(self, ctx, hardware_now, increase, headroom) -> None:
-        # The boost gains (1 + μ − damping) per unit of hardware time
-        # over L^max; cap the boost at whichever ends first: spending
-        # the increase budget R (at rate μ over the *hardware* clock,
-        # as in Algorithm 3) or hitting L^max.
-        ctx.set_rate_multiplier(1 + self.params.mu)
-        budget_hw = increase / self.params.mu
-        catch_hw = headroom / (1 + self.params.mu - self._damping)
-        ctx.set_alarm(RATE_RESET_ALARM, hardware_now + min(budget_hw, catch_hw))
-
-    def _rest(self, ctx: NodeContext) -> None:
-        super()._rest(ctx)
-        self._enter_tracking_if_caught(ctx)
-
-    def _enter_tracking_if_caught(self, ctx: NodeContext) -> None:
-        """At ``L = L^max`` drop to the damped rate; otherwise arm a catch
-        alarm for when the undamped clock reaches the damped ``L^max``."""
-        hardware_now = ctx.hardware()
-        gap = self.l_max(hardware_now) - ctx.logical()
-        if gap <= 1e-9:
-            ctx.set_rate_multiplier(self._damping)
-            ctx.cancel_alarm(CATCH_LMAX_ALARM)
-        else:
-            ctx.set_alarm(
-                CATCH_LMAX_ALARM, hardware_now + gap / (1 - self._damping)
-            )
-
-    def on_alarm(self, ctx: NodeContext, name: str) -> None:
-        if name == CATCH_LMAX_ALARM:
-            if self.l_max(ctx.hardware()) - ctx.logical() <= 1e-9:
-                ctx.set_rate_multiplier(self._damping)
-        elif name == RATE_RESET_ALARM:
-            ctx.set_rate_multiplier(1.0)
-            self._enter_tracking_if_caught(ctx)
-        else:
-            super().on_alarm(ctx, name)
+        self._lmax_factor = 1.0 / (1 + params.epsilon_hat)
 
 
 class ExternalAoptAlgorithm(Algorithm):
@@ -131,14 +88,16 @@ class ExternalAoptAlgorithm(Algorithm):
 
     allows_jumps = False
 
-    def __init__(self, params: SyncParams, source: NodeId, source_period: float = None):
+    def __init__(
+        self, params: SyncParams, source: NodeId, source_period: Optional[float] = None
+    ):
         self.params = params
         self.source = source
         if source_period is None:
             source_period = params.h0
-        if source_period <= 0:
+        if not (math.isfinite(source_period) and source_period > 0):
             raise ConfigurationError(
-                f"source_period must be positive, got {source_period}"
+                f"source_period must be finite and positive, got {source_period}"
             )
         self.source_period = float(source_period)
         self.name = "aopt-external"

@@ -1,5 +1,7 @@
 """Tests for the §6 and §8 model variants."""
 
+import math
+
 import pytest
 
 from repro.analysis.complexity import bit_stats
@@ -181,6 +183,17 @@ class TestDiscrete:
                 SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY), 0.0
             )
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected_by_algorithm(self, frequency):
+        params = SyncParams.recommended(epsilon=EPSILON, delay_bound=DELAY)
+        with pytest.raises(ConfigurationError):
+            DiscreteAoptAlgorithm(params, frequency=frequency)
+
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected_by_params(self, frequency):
+        with pytest.raises(ConfigurationError):
+            discrete_params(EPSILON, DELAY, frequency)
+
     def test_sent_values_are_tick_multiples(self, drift, delay):
         frequency = 8.0
         params = discrete_params(EPSILON, DELAY, frequency=frequency)
@@ -241,6 +254,11 @@ class TestExternal:
     def test_invalid_period_rejected(self, params):
         with pytest.raises(ConfigurationError):
             ExternalAoptAlgorithm(params, source=0, source_period=0.0)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_non_finite_period_rejected(self, params, period):
+        with pytest.raises(ConfigurationError):
+            ExternalAoptAlgorithm(params, source=0, source_period=period)
 
     def test_star_topology(self, params, delay):
         trace = run_execution(
