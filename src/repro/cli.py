@@ -87,7 +87,7 @@ from repro.core.bounds import (
 )
 from repro.core.node import AoptAlgorithm
 from repro.core.params import SyncParams
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.sim.monitors import TOLERANCE
 from repro.topology import generators
 from repro.topology.properties import diameter as graph_diameter
@@ -95,9 +95,19 @@ from repro.topology.properties import diameter as graph_diameter
 __all__ = ["main", "build_parser"]
 
 
+def _check_horizon(args) -> None:
+    if args.horizon is not None and not args.horizon > 0:
+        raise ConfigurationError(f"--horizon must be positive, got {args.horizon:g}")
+
+
 def _build_topology(args) -> generators.Topology:
-    kind = args.topology
-    n = args.nodes
+    try:
+        return _generate_topology(args.topology, args.nodes, args.seed)
+    except TopologyError as exc:
+        raise ConfigurationError(f"--nodes {args.nodes}: {exc}") from exc
+
+
+def _generate_topology(kind: str, n: int, seed: int) -> generators.Topology:
     if kind == "line":
         return generators.line(n)
     if kind == "ring":
@@ -119,7 +129,7 @@ def _build_topology(args) -> generators.Topology:
         dim = max(1, (n - 1).bit_length())
         return generators.hypercube(dim)
     if kind == "random":
-        return generators.random_connected(n, 0.1, seed=args.seed)
+        return generators.random_connected(n, 0.1, seed=seed)
     raise SystemExit(f"unknown topology {kind!r}")
 
 
@@ -163,6 +173,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_horizon(args)
     params = _build_params(args)
     topology = _build_topology(args)
     d = graph_diameter(topology)
@@ -318,6 +329,7 @@ def _print_sweep_metrics(metrics, outcomes, fmt: str) -> None:
 
 
 def _cmd_suite(args) -> int:
+    _check_horizon(args)
     params = _build_params(args)
     topology = _build_topology(args)
     d = graph_diameter(topology)
@@ -359,6 +371,11 @@ def _cmd_suite(args) -> int:
 def _cmd_lower_global(args) -> int:
     params = _build_params(args)
     topology = _build_topology(args)
+    if graph_diameter(topology) < 1:
+        raise ConfigurationError(
+            f"--nodes {args.nodes} gives {topology.name} of diameter 0; "
+            "Theorem 7.2 needs diameter >= 1"
+        )
     result = run_global_lower_bound(
         topology,
         AoptAlgorithm(params),
@@ -386,6 +403,11 @@ def _cmd_lower_global(args) -> int:
 
 
 def _cmd_lower_local(args) -> int:
+    if args.base < 2 or args.nodes < args.base + 1:
+        raise ConfigurationError(
+            f"Theorem 7.7 needs --base >= 2 and --nodes >= base + 1, got "
+            f"--base {args.base} --nodes {args.nodes}"
+        )
     params = _build_params(args)
     result = run_skew_amplification(
         lambda: AoptAlgorithm(params),
@@ -431,6 +453,11 @@ def _cmd_sweep(args) -> int:
 
     from repro.exec.pool import SweepExecutor
 
+    _check_horizon(args)
+    if min(args.diameters) < 1:
+        raise ConfigurationError(
+            f"diameter must be >= 1, got {min(args.diameters)}"
+        )
     params = _build_params(args)
     algorithm_name = args.algorithm
     workers, cache = _executor_options(args)
@@ -840,6 +867,7 @@ def _cmd_profile(args) -> int:
         print(f"repro profile: {exc}", file=sys.stderr)
         return 2
 
+    _check_horizon(args)
     params = _build_params(args)
     topology = _build_topology(args)
     d = graph_diameter(topology)

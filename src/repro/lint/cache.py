@@ -39,7 +39,7 @@ from repro.lint.graph import ModuleSummary
 __all__ = ["LINT_CACHE_VERSION", "CacheEntry", "LintCache", "file_sha256"]
 
 #: Bump when rule semantics or the summary/finding schema change.
-LINT_CACHE_VERSION = 1
+LINT_CACHE_VERSION = 2
 
 _MAGIC = "reprolint"
 

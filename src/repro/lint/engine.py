@@ -180,17 +180,18 @@ def _lint_one_file(
             message=f"syntax error: {exc.msg}",
         )
         return [finding], 0, None
+    summary = summarize_module(module)
     findings: List[Finding] = []
     suppressed = 0
     for rule in active:
         if not rule.applies(module):
             continue
-        for finding in rule.check(module):
+        for finding in rule.check(module, summary):
             if rule.id in module.suppressions.get(finding.line, set()):
                 suppressed += 1
             else:
                 findings.append(finding)
-    return findings, suppressed, summarize_module(module)
+    return findings, suppressed, summary
 
 
 def lint_paths(

@@ -11,6 +11,18 @@ assembling the summaries into a :class:`ProjectIndex` whose call graph
 is module-qualified: ``from x import y`` aliases and package
 ``__init__`` re-exports are resolved to the defining module.
 
+The extractor is the linter's only nondeterminism classifier and its
+only alias resolver.  Each module's import table
+(:attr:`ModuleSummary.imports`, relative imports included) is built
+once and read by every rule that names a library callee (R001, R002,
+R007, R008 and the graph passes).  One walk over the whole module
+records every source: those inside a summarized function feed R006's
+taint, and those anywhere else (module level, class bodies, nested
+classes, defs under ``if``/``try``) land in
+:attr:`ModuleSummary.sources`.  R001 and R002 render that list, so the
+single-file and whole-program passes cannot disagree on what a source
+is.
+
 Summaries are deliberately AST-free so the incremental lint cache
 (:mod:`repro.lint.cache`) can persist them by content hash: an unchanged
 file contributes its cached summary to the graph without being re-parsed,
@@ -38,6 +50,8 @@ __all__ = [
     "DIGEST_KEYWORDS",
     "REPLAY_SEGMENTS",
     "dotted_parts",
+    "is_set_expr",
+    "SEEDABLE_RNGS",
     "SourceSite",
     "ImpuritySite",
     "FunctionSummary",
@@ -126,6 +140,24 @@ _RNG_CALLS = frozenset(
     {"random.Random", "random.SystemRandom", "random.seed"}
 )
 
+#: RNG constructors that replay when given a seed and draw OS entropy
+#: without one.  Every other call into ``random``/``numpy.random`` uses
+#: the process-global stream (or, for ``SystemRandom``, OS entropy).
+SEEDABLE_RNGS = frozenset(
+    {
+        "random.Random",
+        "numpy.random.default_rng",
+        "numpy.random.Generator",
+        "numpy.random.RandomState",
+        "numpy.random.SeedSequence",
+        "numpy.random.MT19937",
+        "numpy.random.PCG64",
+        "numpy.random.PCG64DXSM",
+        "numpy.random.Philox",
+        "numpy.random.SFC64",
+    }
+)
+
 #: Function-name keywords placing a function in digest/comparison scope
 #: (R003's scope); unordered set iteration only counts as a taint
 #: source inside these, so the interprocedural pass extends R003 rather
@@ -174,6 +206,32 @@ def dotted_parts(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
+def is_set_expr(node: ast.AST) -> bool:
+    """A ``set``/``frozenset`` literal, comprehension, or constructor call."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def _call_source(dotted: str, unseeded: bool) -> Optional[Tuple[str, str]]:
+    """``(kind, detail)`` if calling the imported ``dotted`` is a source."""
+    if dotted in _WALL_CLOCK:
+        return "wall-clock", f"{dotted}()"
+    if dotted == "os.getenv":
+        return "environment", "os.getenv()"
+    if dotted in _PROCESS_IDENTITY:
+        return "process-identity", f"{dotted}()"
+    if dotted.rpartition(".")[0] in ("random", "numpy.random") and (
+        unseeded or dotted not in SEEDABLE_RNGS
+    ):
+        return "unseeded-rng", f"{dotted}()"
+    return None
+
+
 @dataclass(frozen=True)
 class CallSite:
     """One outgoing call, recorded as unresolved dotted parts."""
@@ -192,12 +250,13 @@ class CallSite:
 
 @dataclass(frozen=True)
 class SourceSite:
-    """One direct nondeterminism source inside a function."""
+    """One direct nondeterminism source, in a function or at module scope."""
 
     kind: str  #: wall-clock | environment | process-identity | unseeded-rng | set-order
-    detail: str  #: e.g. ``"time.time()"``
+    detail: str  #: the resolved callee, e.g. ``"datetime.datetime.now()"``
     line: int
     col: int
+    written: str = ""  #: the callee as written, e.g. ``"DT.now"`` (``""`` for set-order)
 
     def as_dict(self) -> dict:
         return {
@@ -205,12 +264,17 @@ class SourceSite:
             "detail": self.detail,
             "line": self.line,
             "col": self.col,
+            "written": self.written,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SourceSite":
         return cls(
-            str(raw["kind"]), str(raw["detail"]), int(raw["line"]), int(raw["col"])
+            str(raw["kind"]),
+            str(raw["detail"]),
+            int(raw["line"]),
+            int(raw["col"]),
+            str(raw["written"]),
         )
 
 
@@ -336,6 +400,9 @@ class ModuleSummary:
     registrations: List[Registration] = field(default_factory=list)
     #: 1-indexed line → rule ids disabled there (mirror of ModuleInfo).
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
+    #: Sources outside every summarized function (module level, class
+    #: bodies, nested classes, defs under ``if``/``try``).
+    sources: List[SourceSite] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -346,6 +413,7 @@ class ModuleSummary:
             "functions": [fn.as_dict() for fn in self.functions],
             "classes": [klass.as_dict() for klass in self.classes],
             "registrations": [reg.as_dict() for reg in self.registrations],
+            "sources": [source.as_dict() for source in self.sources],
             "suppressions": {
                 str(line): sorted(rules)
                 for line, rules in sorted(self.suppressions.items())
@@ -366,7 +434,19 @@ class ModuleSummary:
                 int(line): list(rules)
                 for line, rules in raw["suppressions"].items()
             },
+            sources=[SourceSite.from_dict(s) for s in raw["sources"]],
         )
+
+    def expand(self, parts: Sequence[str]) -> Optional[str]:
+        """Dotted name with the leading import alias substituted, or None."""
+        target = self.imports.get(parts[0])
+        if target is None:
+            return None
+        return ".".join([target, *parts[1:]])
+
+    def all_sources(self) -> List[SourceSite]:
+        """Every source in the module: per-function, then module scope."""
+        return [s for fn in self.functions for s in fn.sources] + self.sources
 
     @property
     def replay_layer(self) -> str:
@@ -426,13 +506,6 @@ class _Extractor:
                     bound = alias.asname or alias.name
                     imports[bound] = f"{base}.{alias.name}" if base else alias.name
 
-    def _expand(self, parts: Sequence[str]) -> Optional[str]:
-        """Dotted name with the leading alias substituted, or None."""
-        target = self.summary.imports.get(parts[0])
-        if target is None:
-            return None
-        return ".".join([target, *parts[1:]])
-
     # -- top-level structure ---------------------------------------------------
 
     def run(self) -> ModuleSummary:
@@ -445,7 +518,8 @@ class _Extractor:
             elif isinstance(node, ast.ClassDef):
                 self.summary.defs[node.name] = "class"
                 self._summarize_class(node)
-        self._collect_registrations(tree)
+            else:
+                self._scan(node, None)
         return self.summary
 
     def _summarize_class(self, node: ast.ClassDef) -> None:
@@ -468,9 +542,11 @@ class _Extractor:
                 methods=methods,
             )
         )
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._summarize_function(stmt, cls=node.name)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._summarize_function(child, cls=node.name)
+            else:
+                self._scan(child, None)  # bases, decorators, class-body statements
 
     # -- per-function extraction -----------------------------------------------
 
@@ -483,33 +559,32 @@ class _Extractor:
             line=node.lineno,
             sink=self._sink_reason(node.name),
         )
-        digest_scope = any(kw in node.name.lower() for kw in DIGEST_KEYWORDS)
+        self._scan(node, fn)
+        self._record_global_mutations(fn, node)
+        self.summary.functions.append(fn)
+
+    def _scan(self, node: ast.AST, fn: Optional[FunctionSummary]) -> None:
+        """Record everything under ``node`` into ``fn``, or into the module
+        when ``fn`` is None (calls and impurities are per-function only)."""
+        digest_scope = fn is not None and any(
+            kw in fn.name.lower() for kw in DIGEST_KEYWORDS
+        )
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 self._record_call(fn, sub)
             elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                self._record_attribute(fn, sub)
+                parts = dotted_parts(sub)
+                if parts is not None and len(parts) == 2:
+                    if self.summary.expand(parts) == "os.environ":
+                        self._add_source(fn, "environment", "os.environ", sub, parts)
             elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                self._record_name(fn, sub)
-            elif isinstance(sub, ast.For):
-                if digest_scope and self._is_set_expr(sub.iter):
+                if self.summary.imports.get(sub.id) == "os.environ":
+                    self._add_source(fn, "environment", "os.environ", sub, (sub.id,))
+            elif digest_scope and isinstance(sub, (ast.For, ast.comprehension)):
+                if is_set_expr(sub.iter):
                     self._add_source(
                         fn, "set-order", "iteration over an unordered set", sub.iter
                     )
-            elif isinstance(
-                sub, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-            ):
-                if digest_scope:
-                    for comp in sub.generators:
-                        if self._is_set_expr(comp.iter):
-                            self._add_source(
-                                fn,
-                                "set-order",
-                                "iteration over an unordered set",
-                                comp.iter,
-                            )
-        self._record_global_mutations(fn, node)
-        self.summary.functions.append(fn)
 
     @staticmethod
     def _sink_reason(name: str) -> str:
@@ -520,33 +595,26 @@ class _Extractor:
             return f"digest-critical function {name}()"
         return ""
 
-    @staticmethod
-    def _is_set_expr(node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
+    def _add_source(self, fn, kind, detail, node, parts=()) -> None:
+        # Suppressed lines are recorded too: the engine counts R001/R002
+        # findings there as suppressed, and the taint pass skips sources
+        # on `disable=R002`/`disable=R006` lines.
+        site = SourceSite(
+            kind=kind,
+            detail=detail,
+            line=node.lineno,
+            col=node.col_offset,
+            written=".".join(parts),
         )
+        (fn.sources if fn is not None else self.summary.sources).append(site)
 
-    def _add_source(self, fn: FunctionSummary, kind, detail, node) -> None:
-        # A `# reprolint: disable=R002/R006` on the source line sanctions
-        # the read at its origin: every chain through it goes quiet, which
-        # is what "suppress at the source" means interprocedurally.
-        disabled = self.info.suppressions.get(node.lineno, set())
-        if "R002" in disabled or "R006" in disabled:
-            return
-        fn.sources.append(
-            SourceSite(kind=kind, detail=detail, line=node.lineno, col=node.col_offset)
-        )
-
-    def _record_call(self, fn: FunctionSummary, node: ast.Call) -> None:
+    def _record_call(self, fn: Optional[FunctionSummary], node: ast.Call) -> None:
         parts = dotted_parts(node.func)
         if parts is None:
             # Method call on a non-name receiver: only purity cares.
             if (
-                isinstance(node.func, ast.Attribute)
+                fn is not None
+                and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _IO_METHODS
             ):
                 fn.impurities.append(
@@ -558,22 +626,21 @@ class _Extractor:
                     )
                 )
             return
+        if parts[-1].endswith("Certificate"):
+            self._record_registration(node, parts)
+        expanded = self.summary.expand(parts)
+        if expanded is not None:
+            # Sources are library callees, so only an imported name is one.
+            found = _call_source(expanded, not node.args and not node.keywords)
+            if found is not None:
+                self._add_source(fn, *found, node, parts)
+        if fn is None:
+            return
         fn.calls.append(
             CallSite(parts=parts, line=node.lineno, col=node.col_offset)
         )
-        dotted = self._expand(parts) or ".".join(parts)
-        self._classify_call(fn, node, parts, dotted)
-
-    def _classify_call(self, fn, node, parts, dotted) -> None:
-        unseeded = not node.args and not node.keywords
-        if dotted in _WALL_CLOCK:
-            self._add_source(fn, "wall-clock", f"{dotted}()", node)
-        elif dotted == "os.getenv":
-            self._add_source(fn, "environment", "os.getenv()", node)
-        elif dotted in _PROCESS_IDENTITY:
-            self._add_source(fn, "process-identity", f"{dotted}()", node)
-        elif dotted.startswith("numpy.random."):
-            self._add_source(fn, "unseeded-rng", f"{dotted}()", node)
+        dotted = expanded or ".".join(parts)
+        if dotted.startswith("numpy.random.") or dotted in _RNG_CALLS:
             fn.impurities.append(
                 ImpuritySite(
                     "rng-construction",
@@ -582,24 +649,6 @@ class _Extractor:
                     node.col_offset,
                 )
             )
-        elif dotted.startswith("random."):
-            tail = dotted.split(".", 1)[1]
-            if tail == "Random":
-                if unseeded:
-                    self._add_source(fn, "unseeded-rng", "random.Random()", node)
-            elif tail == "SystemRandom":
-                self._add_source(fn, "unseeded-rng", "random.SystemRandom()", node)
-            elif tail[:1].islower():
-                self._add_source(fn, "unseeded-rng", f"random.{tail}()", node)
-            if tail in ("Random", "SystemRandom", "seed"):
-                fn.impurities.append(
-                    ImpuritySite(
-                        "rng-construction",
-                        f"constructs an RNG via {dotted}()",
-                        node.lineno,
-                        node.col_offset,
-                    )
-                )
         if dotted in _IO_CALLS or dotted.startswith("shutil."):
             fn.impurities.append(
                 ImpuritySite(
@@ -616,18 +665,15 @@ class _Extractor:
                 )
             )
 
-    def _record_attribute(self, fn: FunctionSummary, node: ast.Attribute) -> None:
-        parts = dotted_parts(node)
-        if parts is None or len(parts) != 2:
-            return
-        dotted = self._expand(parts) or ".".join(parts)
-        if dotted == "os.environ":
-            self._add_source(fn, "environment", "os.environ", node)
-
-    def _record_name(self, fn: FunctionSummary, node: ast.Name) -> None:
-        dotted = self.summary.imports.get(node.id)
-        if dotted == "os.environ":
-            self._add_source(fn, "environment", "os.environ", node)
+    def _record_registration(self, node: ast.Call, parts: Tuple[str, ...]) -> None:
+        """A ``*Certificate(...)`` call and the bare names it registers."""
+        names = [arg.id for arg in node.args if isinstance(arg, ast.Name)] + [
+            kw.value.id for kw in node.keywords if isinstance(kw.value, ast.Name)
+        ]
+        if names:
+            self.summary.registrations.append(
+                Registration(callee=".".join(parts), names=tuple(names), line=node.lineno)
+            )
 
     def _record_global_mutations(self, fn: FunctionSummary, node) -> None:
         declared: Set[str] = set()
@@ -652,31 +698,6 @@ class _Extractor:
                             sub.col_offset,
                         )
                     )
-
-    # -- certificate registrations ---------------------------------------------
-
-    def _collect_registrations(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            parts = dotted_parts(node.func)
-            if parts is None or not parts[-1].endswith("Certificate"):
-                continue
-            names = [
-                arg.id for arg in node.args if isinstance(arg, ast.Name)
-            ] + [
-                kw.value.id
-                for kw in node.keywords
-                if isinstance(kw.value, ast.Name)
-            ]
-            if names:
-                self.summary.registrations.append(
-                    Registration(
-                        callee=".".join(parts),
-                        names=tuple(names),
-                        line=node.lineno,
-                    )
-                )
 
 
 def summarize_module(module: ModuleInfo, module_name: Optional[str] = None) -> ModuleSummary:
@@ -750,12 +771,11 @@ class ProjectIndex:
             if len(parts) < 2:
                 return None
             return self._resolve_method(summary, cls, parts[1])
-        if head in summary.imports:
-            dotted = ".".join([summary.imports[head], *parts[1:]])
-        elif head in summary.defs:
+        dotted = summary.expand(parts)
+        if dotted is None:
+            if head not in summary.defs:
+                return None
             dotted = ".".join([summary.module, *parts])
-        else:
-            return None
         return self.resolve_dotted(dotted)
 
     def _resolve_method(

@@ -6,14 +6,15 @@ per lint invocation against the :class:`~repro.lint.graph.ProjectIndex`
 ``time.time()`` through a helper in another module is no longer
 invisible.
 
-Division of labour with the single-file rules:
+Division of labour with the single-file rules: one classifier
+(:mod:`repro.lint.graph`) records every nondeterminism source, and R001
+and R002 render the direct ones across the whole module, so:
 
-* R002 already bans *direct* wall-clock/environment reads inside the
-  replay layers, so R006 never duplicates those — it reports functions
+* R002 already reports *direct* wall-clock/environment reads inside the
+  replay layers, and R006 never duplicates those — it reports functions
   whose nondeterminism arrives **through a call chain**, plus direct
-  reads that R002's single-file scope cannot see (process identity
-  anywhere in scope, wall clock inside digest sinks outside the replay
-  trees).
+  reads that R002's scope cannot see (process identity anywhere in
+  scope, wall clock inside digest sinks outside the replay trees).
 * Direct unseeded RNG (R001) and direct unordered-set iteration (R003)
   likewise stay with their single-file owners; R006 picks them up only
   once they cross a module or function boundary.

@@ -1,7 +1,12 @@
 """The reprolint rule set: named, suppressible determinism invariants.
 
-Each rule is a small AST pass over one parsed module
-(:class:`~repro.lint.findings.ModuleInfo`).  The reproduction's whole
+Each rule checks one parsed module
+(:class:`~repro.lint.findings.ModuleInfo`) together with its
+:class:`~repro.lint.graph.ModuleSummary`.  The summary is where names
+are resolved and nondeterminism is classified: R001 and R002 only render
+its source sites, and R007/R008 resolve library callees through its one
+import table, so no rule walks the module's imports itself.  The
+reproduction's whole
 result pipeline rests on byte-identical replay — spec digests key the
 on-disk result cache, parallel sweeps must match serial runs exactly,
 and the lower-bound adversaries compare indistinguishable executions
@@ -9,8 +14,8 @@ message-for-message — so the rules target the ways Python code silently
 breaks that contract:
 
 ========  ==============================================================
-R001      no module-global or unseeded :mod:`random` (inject a seeded
-          ``random.Random(seed)``)
+R001      no module-global or unseeded :mod:`random` or ``numpy.random``
+          (inject a seeded ``random.Random(seed)``)
 R002      no wall-clock or environment reads (``time.time``,
           ``datetime.now``, ``os.environ``) in the replay-critical
           ``sim``/``exec``/``faults`` layers
@@ -36,7 +41,15 @@ import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding, ModuleInfo
-from repro.lint.graph import DIGEST_KEYWORDS, REPLAY_SEGMENTS, dotted_parts
+from repro.lint.graph import (
+    DIGEST_KEYWORDS,
+    REPLAY_SEGMENTS,
+    SEEDABLE_RNGS,
+    ModuleSummary,
+    SourceSite,
+    dotted_parts,
+    is_set_expr,
+)
 
 __all__ = [
     "Rule",
@@ -56,8 +69,9 @@ class Rule:
     """Base class for reprolint rules.
 
     Subclasses set :attr:`id` (``"RXXX"``) and :attr:`summary`, and
-    implement :meth:`check`; :meth:`applies` narrows the rule to a
-    subset of modules (by path or file name) and defaults to all.
+    implement :meth:`check`, which receives the module and its summary;
+    :meth:`applies` narrows the rule to a subset of modules (by path or
+    file name) and defaults to all.
     """
 
     id: str = ""
@@ -66,7 +80,7 @@ class Rule:
     def applies(self, module: ModuleInfo) -> bool:
         return True
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -96,98 +110,49 @@ def register(cls):
 class UnseededRandomRule(Rule):
     """Randomness must come from an injected, explicitly seeded stream.
 
-    ``random.random()`` and friends draw from the *process-global* RNG:
-    any other consumer of that stream — another model, a test, a library
-    — perturbs every draw after it, so results depend on call
-    interleaving instead of the spec.  ``random.Random()`` without a
-    seed initialises from OS entropy and can never replay.  The project
-    convention is a per-component ``random.Random(seed)`` (often keyed
-    by a string such as ``f"faults:{seed}:{node!r}"``).
+    ``random.random()``, ``np.random.rand()`` and friends draw from the
+    *process-global* RNG: any other consumer of that stream — another
+    model, a test, a library — perturbs every draw after it, so results
+    depend on call interleaving instead of the spec.  ``random.Random()``
+    or ``np.random.default_rng()`` without a seed initialises from OS
+    entropy and can never replay.  The project convention is a
+    per-component ``random.Random(seed)`` (often keyed by a string such
+    as ``f"faults:{seed}:{node!r}"``).  The sources are the graph's
+    ``unseeded-rng`` sites (:mod:`repro.lint.graph`), anywhere in the
+    module.
     """
 
     id = "R001"
     summary = "no module-global or unseeded `random`"
 
-    _HINT = "inject a per-component random.Random(seed) instead"
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
+        for site in summary.all_sources():
+            if site.kind == "unseeded-rng":
+                yield Finding(
+                    module.relpath, site.line, site.col, self.id, self._message(site)
+                )
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        module_aliases: Set[str] = set()
-        class_aliases: Set[str] = set()  # bound to random.Random
-        system_aliases: Set[str] = set()  # bound to random.SystemRandom
-        func_aliases: Dict[str, str] = {}  # bound to a random.<func>
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random":
-                        module_aliases.add(alias.asname or "random")
-            elif (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "random"
-                and node.level == 0
-            ):
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if alias.name == "Random":
-                        class_aliases.add(bound)
-                    elif alias.name == "SystemRandom":
-                        system_aliases.add(bound)
-                    elif alias.name != "*":
-                        func_aliases[bound] = alias.name
-
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            parts = dotted_parts(node.func)
-            if parts is not None and len(parts) == 2 and parts[0] in module_aliases:
-                attr = parts[1]
-                if attr == "Random":
-                    if not node.args and not node.keywords:
-                        yield module.finding(
-                            node,
-                            self.id,
-                            "unseeded random.Random() initialises from OS "
-                            "entropy; pass an explicit seed so replays are "
-                            "deterministic",
-                        )
-                elif attr == "SystemRandom":
-                    yield module.finding(
-                        node,
-                        self.id,
-                        "random.SystemRandom() draws OS entropy and can "
-                        "never replay deterministically",
-                    )
-                else:
-                    yield module.finding(
-                        node,
-                        self.id,
-                        f"call to the process-global RNG random.{attr}(); "
-                        + self._HINT,
-                    )
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-                if name in class_aliases:
-                    if not node.args and not node.keywords:
-                        yield module.finding(
-                            node,
-                            self.id,
-                            "unseeded Random() initialises from OS entropy; "
-                            "pass an explicit seed so replays are "
-                            "deterministic",
-                        )
-                elif name in system_aliases:
-                    yield module.finding(
-                        node,
-                        self.id,
-                        "SystemRandom() draws OS entropy and can never "
-                        "replay deterministically",
-                    )
-                elif name in func_aliases:
-                    yield module.finding(
-                        node,
-                        self.id,
-                        "call to the process-global RNG "
-                        f"random.{func_aliases[name]}(); " + self._HINT,
-                    )
+    @staticmethod
+    def _message(site: SourceSite) -> str:
+        callee = site.detail
+        # A from-imported constructor is named bare, as it is called.
+        shown = callee.rsplit(".", 1)[-1] if "." not in site.written else callee
+        if callee[: -len("()")] in SEEDABLE_RNGS:
+            return (
+                f"unseeded {shown} initialises from OS entropy; pass an "
+                "explicit seed so replays are deterministic"
+            )
+        if callee == "random.SystemRandom()":
+            return f"{shown} draws OS entropy and can never replay deterministically"
+        seeded = (
+            "numpy.random.default_rng(seed)"
+            if callee.startswith("numpy.")
+            else "random.Random(seed)"
+        )
+        return (
+            f"call to the process-global RNG {callee}; inject a per-component "
+            f"{seeded} instead"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,129 +171,47 @@ class WallClockRule(Rule):
     must be threaded through the spec or a constructor.  Monotonic
     *duration* measurement (``time.perf_counter``/``time.monotonic``)
     is allowed: the telemetry layer strips wall timings before results
-    enter digested summaries.
+    enter digested summaries.  The sources are the graph's
+    ``wall-clock``/``environment`` sites, anywhere in the module.
     """
 
     id = "R002"
     summary = "no wall-clock/env reads in sim/exec/faults layers"
 
     _SCOPE_SEGMENTS = REPLAY_SEGMENTS
-    _WALL_TIME_FUNCS = frozenset({"time", "time_ns"})
-    _WALL_DT_FUNCS = frozenset({"now", "utcnow", "today"})
 
     def applies(self, module: ModuleInfo) -> bool:
         return bool(self._SCOPE_SEGMENTS.intersection(module.path_parts[:-1]))
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        os_mods: Set[str] = set()
-        time_mods: Set[str] = set()
-        dt_mods: Set[str] = set()
-        dt_classes: Set[str] = set()  # `from datetime import datetime/date`
-        env_names: Set[str] = set()  # `from os import environ`
-        getenv_names: Set[str] = set()  # `from os import getenv`
-        wall_funcs: Dict[str, str] = {}  # `from time import time` etc.
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "os" or alias.name.startswith("os."):
-                        os_mods.add(bound)
-                    elif alias.name == "time":
-                        time_mods.add(bound)
-                    elif alias.name == "datetime":
-                        dt_mods.add(bound)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if node.module == "os":
-                        if alias.name == "environ":
-                            env_names.add(bound)
-                        elif alias.name == "getenv":
-                            getenv_names.add(bound)
-                    elif node.module == "time":
-                        if alias.name in self._WALL_TIME_FUNCS:
-                            wall_funcs[bound] = f"time.{alias.name}"
-                    elif node.module == "datetime":
-                        if alias.name in ("datetime", "date"):
-                            dt_classes.add(bound)
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
+        for site in summary.all_sources():
+            if site.kind in ("wall-clock", "environment"):
+                yield Finding(
+                    module.relpath, site.line, site.col, self.id, self._message(site)
+                )
 
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Attribute):
-                parts = dotted_parts(node)
-                if (
-                    parts is not None
-                    and len(parts) == 2
-                    and parts[0] in os_mods
-                    and parts[1] == "environ"
-                ):
-                    yield module.finding(
-                        node,
-                        self.id,
-                        "environment read os.environ in a replay-critical "
-                        "layer; thread configuration through the spec or a "
-                        "constructor argument",
-                    )
-            elif isinstance(node, ast.Call):
-                parts = dotted_parts(node.func)
-                if parts is not None and len(parts) >= 2:
-                    head, tail = parts[0], parts[-1]
-                    if head in os_mods and parts[1] == "getenv":
-                        yield module.finding(
-                            node,
-                            self.id,
-                            "environment read os.getenv() in a "
-                            "replay-critical layer; thread configuration "
-                            "through the spec or a constructor argument",
-                        )
-                    elif (
-                        head in time_mods
-                        and len(parts) == 2
-                        and tail in self._WALL_TIME_FUNCS
-                    ):
-                        yield module.finding(
-                            node,
-                            self.id,
-                            f"wall-clock read time.{tail}() in a "
-                            "replay-critical layer; use the simulated clock "
-                            "(or time.perf_counter for stripped telemetry "
-                            "durations)",
-                        )
-                    elif (
-                        head in dt_mods or (head in dt_classes and len(parts) == 2)
-                    ) and tail in self._WALL_DT_FUNCS:
-                        yield module.finding(
-                            node,
-                            self.id,
-                            f"wall-clock read {'.'.join(parts)}() in a "
-                            "replay-critical layer; timestamps must come "
-                            "from the simulated clock",
-                        )
-                elif isinstance(node.func, ast.Name):
-                    name = node.func.id
-                    if name in getenv_names:
-                        yield module.finding(
-                            node,
-                            self.id,
-                            "environment read getenv() in a replay-critical "
-                            "layer; thread configuration through the spec "
-                            "or a constructor argument",
-                        )
-                    elif name in wall_funcs:
-                        yield module.finding(
-                            node,
-                            self.id,
-                            f"wall-clock read {wall_funcs[name]}() in a "
-                            "replay-critical layer; use the simulated clock",
-                        )
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in env_names:
-                    yield module.finding(
-                        node,
-                        self.id,
-                        "environment read os.environ in a replay-critical "
-                        "layer; thread configuration through the spec or a "
-                        "constructor argument",
-                    )
+    @staticmethod
+    def _message(site: SourceSite) -> str:
+        bare = "." not in site.written  # reached through a from-import
+        if site.kind == "environment":
+            shown = "getenv()" if bare and site.detail == "os.getenv()" else site.detail
+            return (
+                f"environment read {shown} in a replay-critical layer; thread "
+                "configuration through the spec or a constructor argument"
+            )
+        if site.detail.startswith("time."):
+            telemetry = (
+                "" if bare else " (or time.perf_counter for stripped telemetry durations)"
+            )
+            return (
+                f"wall-clock read {site.detail} in a replay-critical layer; use "
+                f"the simulated clock{telemetry}"
+            )
+        return (
+            f"wall-clock read {site.written}() in a replay-critical layer; "
+            "timestamps must come from the simulated clock"
+        )
+
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +239,7 @@ class UnorderedIterationRule(Rule):
     _SCOPE_KEYWORDS = DIGEST_KEYWORDS
     _SET_OPS = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
         seen: Set[Tuple[int, int, str]] = set()
         for func in ast.walk(module.tree):
             if isinstance(
@@ -485,7 +368,7 @@ class DigestCoverageRule(Rule):
         {"digest", "canonical_encoding", "canonical_bytes", "to_canonical"}
     )
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -665,7 +548,7 @@ class PublicExportsRule(Rule):
             or name.startswith("bench_")
         )
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
         all_node: Optional[ast.AST] = None  # the Assign/AnnAssign statement
         all_value: Optional[ast.AST] = None  # its right-hand side
         bindings: Set[str] = set()
@@ -794,14 +677,7 @@ class FloatExactnessRule(Rule):
     def applies(self, module: ModuleInfo) -> bool:
         return bool(self._SCOPE_SEGMENTS.intersection(module.path_parts[:-1]))
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        numpy_aliases: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        numpy_aliases.add(alias.asname or "numpy")
-
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -809,14 +685,11 @@ class FloatExactnessRule(Rule):
                 continue
             if isinstance(node.func, ast.Name) and node.func.id == "sum":
                 yield from self._check_builtin_sum(module, node)
-            else:
-                parts = dotted_parts(node.func)
-                if (
-                    parts is not None
-                    and len(parts) >= 2
-                    and parts[0] in numpy_aliases
-                ):
-                    yield from self._check_numpy(module, node, parts)
+                continue
+            parts = dotted_parts(node.func)
+            dotted = summary.expand(parts) if parts is not None else None
+            if dotted is not None and dotted.startswith("numpy."):
+                yield from self._check_numpy(module, node, parts, dotted)
 
     def _check_builtin_sum(
         self, module: ModuleInfo, node: ast.Call
@@ -824,7 +697,7 @@ class FloatExactnessRule(Rule):
         if not node.args:
             return
         arg = node.args[0]
-        if self._is_set_expr(arg):
+        if is_set_expr(arg):
             yield module.finding(
                 node,
                 self.id,
@@ -849,31 +722,21 @@ class FloatExactnessRule(Rule):
             )
 
     def _check_numpy(
-        self, module: ModuleInfo, node: ast.Call, parts: Tuple[str, ...]
+        self, module: ModuleInfo, node: ast.Call, parts: Tuple[str, ...], dotted: str
     ) -> Iterator[Finding]:
-        tail = parts[-1]
-        reduce_call = tail == "reduce" and len(parts) >= 3
+        segments = dotted.split(".")
+        tail = segments[-1]
+        reduce_call = tail == "reduce" and len(segments) >= 3
         if not (tail in self._NUMPY_REDUCERS or reduce_call):
             return
-        dotted = ".".join(parts)
         yield module.finding(
             node,
             self.id,
-            f"numpy reduction {dotted}() may fold pairwise/vectorised, "
+            f"numpy reduction {'.'.join(parts)}() may fold pairwise/vectorised, "
             "not left-to-right; use the pinned expression-sequence "
             "pattern from docs/ENGINE.md (math.fsum or an explicit "
             "ordered loop) or mark `# reprolint: exact-fold` with a "
             "reason",
-        )
-
-    @staticmethod
-    def _is_set_expr(node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
         )
 
 
@@ -911,19 +774,13 @@ class AtomicIORule(Rule):
     def applies(self, module: ModuleInfo) -> bool:
         return module.name in self._FILES and "exec" in module.path_parts[:-1]
 
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        os_mods: Set[str] = {"os"}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "os":
-                        os_mods.add(alias.asname or "os")
+    def check(self, module: ModuleInfo, summary: ModuleSummary) -> Iterator[Finding]:
         for func in ast.walk(module.tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, func, os_mods)
+                yield from self._check_function(module, func, summary)
 
     def _check_function(
-        self, module: ModuleInfo, func: ast.AST, os_mods: Set[str]
+        self, module: ModuleInfo, func: ast.AST, summary: ModuleSummary
     ) -> Iterator[Finding]:
         write_opens: List[int] = []
         fsyncs: List[int] = []
@@ -934,19 +791,16 @@ class AtomicIORule(Rule):
             parts = dotted_parts(node.func)
             if parts is None:
                 continue
-            if parts == ("open",) or (
-                len(parts) == 2 and parts[0] in os_mods and parts[1] == "fdopen"
-            ):
+            dotted = summary.expand(parts) or ".".join(parts)
+            if dotted in ("open", "os.fdopen"):
                 if self._is_write_open(node):
                     write_opens.append(node.lineno)
-            elif len(parts) == 2 and parts[0] in os_mods:
-                tail = parts[1]
-                if tail == "fsync":
-                    fsyncs.append(node.lineno)
-                elif tail in ("rename", "replace"):
-                    renames.append((node, tail))
-                elif tail == "open":
-                    yield from self._check_os_open(module, node)
+            elif dotted == "os.fsync":
+                fsyncs.append(node.lineno)
+            elif dotted in ("os.rename", "os.replace"):
+                renames.append((node, dotted[len("os."):]))
+            elif dotted == "os.open":
+                yield from self._check_os_open(module, node)
 
         for node, tail in sorted(renames, key=lambda r: r[0].lineno):
             if tail == "rename":

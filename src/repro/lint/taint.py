@@ -23,6 +23,9 @@ from repro.lint.graph import FunctionSummary, ProjectIndex, SourceSite
 
 __all__ = ["TaintRecord", "TaintAnalysis", "function_label"]
 
+#: Rule ids whose inline disable on a source line sanctions that source.
+_SANCTIONING = frozenset({"R002", "R006"})
+
 
 @dataclass(frozen=True)
 class TaintRecord:
@@ -51,12 +54,21 @@ class TaintAnalysis:
 
     def _propagate(self) -> None:
         # Seed: every function with a direct source, best source first.
+        # A `# reprolint: disable=R002/R006` on the source line sanctions
+        # the read at its origin: every chain through it goes quiet, which
+        # is what "suppress at the source" means interprocedurally.
         frontier: List[str] = []
         for qname in sorted(self.index.functions):
             fn = self.index.functions[qname]
-            if not fn.sources:
+            disabled = self.index.module_for(qname).suppressions
+            sources = [
+                s
+                for s in fn.sources
+                if not _SANCTIONING.intersection(disabled.get(s.line, ()))
+            ]
+            if not sources:
                 continue
-            best = min(fn.sources, key=lambda s: (s.line, s.col, s.kind))
+            best = min(sources, key=lambda s: (s.line, s.col, s.kind))
             self.records[qname] = TaintRecord(qname=qname, dist=0, source=best)
             frontier.append(qname)
 

@@ -276,3 +276,25 @@ class TestFaultsCommand:
         with pytest.raises(SystemExit) as exc:
             main(self.ARGV + flag)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--horizon", "-1"],
+        ["suite", "--horizon", "0"],
+        ["sweep", "--horizon", "0"],
+        ["profile", "--horizon", "0"],
+        ["simulate", "--nodes", "0"],
+        ["sweep", "--diameters", "0"],
+        ["sweep", "--diameters", "0", "--topology", "grid"],
+        ["lower-bound", "global", "--nodes", "1"],
+        ["lower-bound", "local", "--nodes", "1"],
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(argv, capsys):
+    # Rejected before anything runs: exit 2 with a one-line message.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {argv[0]}: ")

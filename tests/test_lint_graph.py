@@ -78,6 +78,16 @@ class TestR006:
         assert len(report.findings) == 1
         assert "other_digest" in report.findings[0].message
 
+    def test_seeded_numpy_stream_is_not_a_source(self):
+        # `default_rng(seed)` replays, so the sim caller of jitter() is
+        # silent; the caller of wobble()'s global draw still reports.
+        report = lint_pkg("numpy_rng", rules=["R006"])
+        assert [f.rule for f in report.findings] == ["R006"]
+        finding = report.findings[0]
+        assert finding.path == "numpy_rng/sim/user.py"
+        assert finding.message.startswith("numpy_rng.sim.user.drifted()")
+        assert "unseeded-rng source numpy.random.normal()" in finding.message
+
     def test_process_identity_reported_directly_in_scope(self, tmp_path):
         proj = tmp_path / "proj"
         (proj / "exec").mkdir(parents=True)
